@@ -12,9 +12,9 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: ci lint lint-strict vet build test race race-cancel difftest difftest-nontree fuzz-smoke serve-smoke shard-smoke cover-serve cover-motif metrics-smoke bench-smoke bench-kernel bench-batch bench-tile bench-batch-full bench-batch-record bench-mem bench-mem-full bench-mem-record bench-adaptive check-bce check-escape check-checkptr
+.PHONY: ci lint lint-strict vet build test race race-cancel difftest difftest-nontree fuzz-smoke serve-smoke shard-smoke cover-serve cover-motif metrics-smoke bench-smoke bench-kernel bench-batch bench-batch-full bench-batch-record bench-mem bench-mem-full bench-mem-record bench-adaptive check-bce check-escape check-checkptr
 
-ci: lint-strict build check-bce check-escape test race-cancel difftest difftest-nontree metrics-smoke serve-smoke shard-smoke cover-serve cover-motif fuzz-smoke bench-smoke bench-batch bench-tile bench-mem bench-adaptive
+ci: lint-strict build check-bce check-escape test race-cancel difftest difftest-nontree metrics-smoke serve-smoke shard-smoke cover-serve cover-motif fuzz-smoke bench-smoke bench-batch bench-mem bench-adaptive
 
 # The strict-build matrix, first in `make ci`: fasciavet's analyzers
 # (any finding or stale suppression fails), go vet, a fresh-cache build
@@ -108,9 +108,8 @@ difftest-nontree:
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadEdgeList -fuzztime=$(FUZZTIME) ./internal/graph
 	$(GO) test -run='^$$' -fuzz=FuzzReadBinary -fuzztime=$(FUZZTIME) ./internal/graph
-	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/tmpl
+	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=$(FUZZTIME) ./internal/tmpl
 	$(GO) test -run='^$$' -fuzz=FuzzParseGraph -fuzztime=$(FUZZTIME) ./internal/tmpl
-	$(GO) test -run='^$$' -fuzz=FuzzTilePlan -fuzztime=$(FUZZTIME) ./internal/dp
 	$(GO) test -run='^$$' -fuzz=FuzzSuccinctRow -fuzztime=$(FUZZTIME) ./internal/table
 
 # fasciad end to end under -race: boot on an ephemeral port, count,
@@ -162,17 +161,11 @@ metrics-smoke:
 bench-smoke:
 	$(GO) test -run='^$$' -bench=BenchmarkKernel -benchtime=1x ./internal/dp
 
-# Batched-DP smoke: B=1 vs B=4 on a small graph with an equivalence
-# assertion, so the CI run doubles as an end-to-end batched-vs-unbatched
-# bit-identity check.
+# Lane-width smoke: one lane vs four lanes per traversal on a small
+# graph with an equivalence assertion, so the CI run doubles as an
+# end-to-end bit-identity check across lane counts.
 bench-batch:
 	$(GO) test -run='^$$' -bench=BenchmarkBatchedDPSmall -benchtime=1x ./internal/dp
-
-# Tiled-DP smoke: untiled vs a forced 2-column tiling at B=1 and B=4 on
-# a small graph with an equivalence assertion, so the CI run doubles as
-# an end-to-end tiled-vs-untiled bit-identity check.
-bench-tile:
-	$(GO) test -run='^$$' -bench=BenchmarkTiledDPSmall -benchtime=1x ./internal/dp
 
 # Out-of-core smoke: a U7 run with dense tables on a 200k-vertex BA
 # graph under a 96 MiB -mem budget and a Go heap limit. The benchmark

@@ -49,7 +49,6 @@ func run(args []string) error {
 		layout     = fs.String("table", "lazy", "table layout: lazy, naive, hash, succinct")
 		kernel     = fs.String("kernel", "auto", "DP combination kernel: auto, direct, aggregate")
 		batch      = fs.String("batch", "1", "iteration batch width: lanes per DP traversal (an integer, or \"auto\")")
-		llc        = fs.Int64("llc", 0, "cache budget in bytes for DP column tiling (0 = FASCIA_LLC_BYTES env or 64 MiB, negative = disable tiling)")
 		mem        = fs.Int64("mem", 0, "peak table-memory budget in bytes: large slabs spill to file-backed mappings (0 = FASCIA_MEM_BYTES env or unlimited, negative = never spill)")
 		adaptive   = fs.Float64("adaptive", 0, "variance-targeted stopping: run until the relative stderr drops below this, -iterations capping the run (0 = fixed iterations)")
 		partition  = fs.String("partition", "one", "partitioning: one (one-at-a-time), balanced")
@@ -172,7 +171,7 @@ func run(args []string) error {
 	} else {
 		return fmt.Errorf("bad -batch %q (want a positive integer or \"auto\")", *batch)
 	}
-	opt = opt.WithLLCBytes(*llc).WithMemBudgetBytes(*mem)
+	opt = opt.WithMemBudgetBytes(*mem)
 	if *adaptive > 0 {
 		opt = opt.WithAdaptive(*adaptive)
 	}

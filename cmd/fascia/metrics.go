@@ -36,9 +36,6 @@ var (
 	mBatchesRun      = expvar.NewInt("fascia.batches_run")
 	mArenaHits       = expvar.NewInt("fascia.arena_hits")
 	mArenaMisses     = expvar.NewInt("fascia.arena_misses")
-	mTiledPasses     = expvar.NewInt("fascia.tiled_passes")
-	mTileSweeps      = expvar.NewInt("fascia.tile_sweeps")
-	mLLCBudgetBytes  = expvar.NewInt("fascia.llc_budget_bytes")
 	mReorderApplied  = expvar.NewInt("fascia.reorder_applied")
 )
 
@@ -65,9 +62,6 @@ func publishStats(res fascia.Result) {
 	mBatchesRun.Add(res.Stats.BatchesRun)
 	mArenaHits.Add(res.Stats.ArenaHits)
 	mArenaMisses.Add(res.Stats.ArenaMisses)
-	mTiledPasses.Add(res.Stats.TiledPasses)
-	mTileSweeps.Add(res.Stats.TileSweeps)
-	mLLCBudgetBytes.Set(res.Stats.LLCBudgetBytes)
 	if res.Stats.ReorderApplied {
 		mReorderApplied.Add(1)
 	}

@@ -46,7 +46,6 @@ type trajectoryEntry struct {
 	Setup   map[string]any                     `json:"setup"`
 	Results map[string]map[string]*sampleStats `json:"results"`
 	Speedup map[string]map[string]float64      `json:"speedup_vs_B1"`
-	Tiling  map[string]any                     `json:"tiling"`
 	// Acceptance evaluates the recorded criteria (>= 1.5x at B=8, peak
 	// table bytes <= B x unbatched) against this entry's own medians, so
 	// the file can never claim a target its numbers don't show.
@@ -62,7 +61,7 @@ func runBatchRecord(args []string) error {
 		batches = fs.String("batches", "1,8", "comma-separated lane widths to sweep")
 		graphsF = fs.String("graphs", "er100k,ba100k", "comma-separated acceptance graphs (er100k, ba100k)")
 		templ   = fs.String("template", "U7-1", "template name")
-		label   = fs.String("label", "", "trajectory label (default: tiled kernels @ <date>)")
+		label   = fs.String("label", "", "trajectory label (default: lane kernels @ <date>)")
 		out     = fs.String("out", "BENCH_batch.json", "trajectory file to append to")
 		notes   = fs.String("notes", "", "free-form analysis recorded with the entry")
 		dryRun  = fs.Bool("n", false, "print the entry instead of writing the file")
@@ -101,7 +100,7 @@ func runBatchRecord(args []string) error {
 		Speedup: map[string]map[string]float64{},
 	}
 	if entry.Label == "" {
-		entry.Label = "tiled kernels @ " + entry.Date
+		entry.Label = "lane kernels @ " + entry.Date
 	}
 
 	// Build every (graph, width) engine up front so the timed rounds can
@@ -149,14 +148,6 @@ func runBatchRecord(args []string) error {
 			}
 			ms := time.Since(t0).Seconds() * 1000 / float64(*iters)
 			if s == 0 {
-				if entry.Tiling == nil || res.Stats.TiledPasses > 0 {
-					entry.Tiling = map[string]any{
-						"llc_budget_bytes": res.Stats.LLCBudgetBytes,
-						"tiled_passes":     res.Stats.TiledPasses,
-						"tile_sweeps":      res.Stats.TileSweeps,
-						"reorder_applied":  res.Stats.ReorderApplied,
-					}
-				}
 				continue
 			}
 			rc.st.Samples = append(rc.st.Samples, math.Round(ms*10)/10)

@@ -40,7 +40,9 @@ type Result struct {
 	// Count is the estimated number of non-induced occurrences.
 	Count float64
 	// PerIteration holds each iteration's individual estimate. For a
-	// cancelled run it holds only the completed iterations.
+	// cancelled run it holds the longest seed-order prefix of completed
+	// iterations, in every parallel mode, so a partial stream is always
+	// a prefix of the full one.
 	PerIteration []float64
 	// StdErr is the standard error of the mean across iterations.
 	StdErr float64

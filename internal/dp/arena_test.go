@@ -10,45 +10,48 @@ import (
 
 // TestArenaReuseAcrossIterations checks the cross-iteration table arena:
 // once a run has warmed the engine's free lists, repeating the same
-// iteration schedule must be served entirely from recycled slabs — zero
-// arena misses — for all three table layouts. Table widths are a
-// function of the partition tree, not the coloring, so every slab class
-// recurs exactly.
+// schedule must be served entirely from recycled slabs — zero arena
+// misses — for every table layout, at one lane and with lane tables
+// drawing B×-wide slabs. Table widths are a function of the partition
+// tree, not the coloring, so every slab class recurs exactly.
 func TestArenaReuseAcrossIterations(t *testing.T) {
-	for _, kind := range []table.Kind{table.Lazy, table.Naive, table.Hash, table.Succinct} {
-		rng := rand.New(rand.NewSource(1))
-		g := randomGraph(rng, 500, 2500)
-		cfg := DefaultConfig()
-		cfg.TableKind = kind
-		cfg.Mode = Inner
-		cfg.Workers = 1
-		e, err := New(g, tmpl.Path(5), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := e.Run(5); err != nil { // warm the free lists
-			t.Fatal(err)
-		}
-		h0, m0 := e.ArenaStats()
-		if m0 == 0 {
-			t.Fatalf("%v: warm-up reported no arena misses (slabs not arena-backed?)", kind)
-		}
-		res, err := e.Run(5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h1, m1 := e.ArenaStats()
-		if m1 != m0 {
-			t.Fatalf("%v: %d arena misses after warm-up (hits %d)", kind, m1-m0, h1-h0)
-		}
-		if h1 <= h0 {
-			t.Fatalf("%v: no arena hits on a warm run", kind)
-		}
-		if res.Stats.ArenaMisses != 0 {
-			t.Fatalf("%v: RunStats reports %d misses on a warm run", kind, res.Stats.ArenaMisses)
-		}
-		if res.Stats.ArenaHits != h1-h0 {
-			t.Fatalf("%v: RunStats hits %d != engine delta %d", kind, res.Stats.ArenaHits, h1-h0)
+	for _, lanes := range []int{1, 4} {
+		for _, kind := range []table.Kind{table.Lazy, table.Naive, table.Hash, table.Succinct} {
+			rng := rand.New(rand.NewSource(1))
+			g := randomGraph(rng, 500, 2500)
+			cfg := DefaultConfig()
+			cfg.TableKind = kind
+			cfg.Mode = Inner
+			cfg.Workers = 1
+			cfg.Batch = lanes
+			e, err := New(g, tmpl.Path(5), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.Run(8); err != nil { // warm the free lists
+				t.Fatal(err)
+			}
+			h0, m0 := e.ArenaStats()
+			if m0 == 0 {
+				t.Fatalf("lanes=%d %v: warm-up reported no arena misses (slabs not arena-backed?)", lanes, kind)
+			}
+			res, err := e.Run(8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h1, m1 := e.ArenaStats()
+			if m1 != m0 {
+				t.Fatalf("lanes=%d %v: %d arena misses after warm-up (hits %d)", lanes, kind, m1-m0, h1-h0)
+			}
+			if h1 <= h0 {
+				t.Fatalf("lanes=%d %v: no arena hits on a warm run", lanes, kind)
+			}
+			if res.Stats.ArenaMisses != 0 {
+				t.Fatalf("lanes=%d %v: RunStats reports %d misses on a warm run", lanes, kind, res.Stats.ArenaMisses)
+			}
+			if res.Stats.ArenaHits != h1-h0 {
+				t.Fatalf("lanes=%d %v: RunStats hits %d != engine delta %d", lanes, kind, res.Stats.ArenaHits, h1-h0)
+			}
 		}
 	}
 }
@@ -105,8 +108,8 @@ func TestIterationAllocsAfterWarmup(t *testing.T) {
 	if m1 != m0 {
 		t.Fatalf("warm iterations performed %d slab allocations (arena misses)", m1-m0)
 	}
-	// Fixed bookkeeping only: 13 table headers, iterState, two maps, the
-	// rng, the colors recycle path. The 2000-vertex, C(7,h)-wide data
+	// Fixed bookkeeping only: table headers, the batch state, its maps,
+	// the rng, the colors recycle path. The 2000-vertex, C(7,h)-wide data
 	// slabs (tens of KB each) must all come from the arena.
 	budget := 90.0
 	if raceEnabled {

@@ -122,16 +122,11 @@ func newBagEngine(g *graph.Graph, t *tmpl.Template, cfg Config, k int) (*Engine,
 		g: g, t: t, cfg: cfg, k: k, bag: d,
 		prob:  colorfulProbability(k, t.K()),
 		aut:   t.Automorphisms(),
-		batch: 1, // lane batching is a split-table fast path; the bag DP stays per-iteration
+		batch: 1, // lane batching is a split-table fast path; the bag DP runs one lane
 		arena: &table.Arena{},
 	}
 	e.rAut = e.aut // unused by the bag DP (no rooted counts); keep non-zero
-	e.llcBytes = resolveLLCBytes(cfg.LLCBytes)
 	e.memBytes = resolveMemBytes(cfg.MemBudgetBytes)
-	// The partition-tree scratch pools are never used by the bag DP but
-	// stay constructible (maxNC is 0, so pooled buffers are empty).
-	e.scratchPool.New = func() any { return &scratch{} }
-	e.batchScratchPool.New = func() any { return &batchScratch{} }
 
 	// Precompute the per-node plan: child indices in post-order plus the
 	// introduce-time edge checks.
@@ -176,7 +171,7 @@ func (e *Engine) Decomposition() *tmpl.Decomposition { return e.bag }
 
 // bagColors returns the bitmask of colors used by the bag's assigned
 // graph vertices.
-func (st *iterState) bagColors(key bagKey, width int) uint64 {
+func (st *batchState) bagColors(key bagKey, width int) uint64 {
 	var m uint64
 	for p := 0; p < width; p++ {
 		m |= 1 << uint(st.colors[key.tuple[p]])
@@ -185,10 +180,11 @@ func (st *iterState) bagColors(key bagKey, width int) uint64 {
 }
 
 // runBag executes one color-coding iteration over the decomposition in
-// post-order and returns the colorful mapping total. Cancellation is
-// polled per table entry — the same granularity as the partition-tree
-// pass's per-vertex polls.
-func (st *iterState) runBag() float64 {
+// post-order and returns the colorful mapping total. It runs on a
+// one-lane state, so the lane-strided coloring is indexed by vertex
+// directly. Cancellation is polled per table entry — the same
+// granularity as the partition-tree pass's per-vertex polls.
+func (st *batchState) runBag() float64 {
 	e := st.e
 	tabs := make([]*bagTable, len(e.bagOps))
 	free := func(i int) {
@@ -238,7 +234,7 @@ func (st *iterState) runBag() float64 {
 		// construction); VertexCounts' keep flag cannot reach here either.
 		panic("dp: bag DP cannot keep tables")
 	}
-	st.recycleColors()
+	st.release()
 	return total
 }
 
@@ -247,7 +243,7 @@ func (st *iterState) runBag() float64 {
 // to the image of each adjacent bag vertex, and a color outside the
 // subtree's used set (which also enforces injectivity — distinct colors
 // force distinct vertices).
-func (st *iterState) bagIntroduce(op *bagOp, child *bagTable) *bagTable {
+func (st *batchState) bagIntroduce(op *bagOp, child *bagTable) *bagTable {
 	e := st.e
 	out := newBagTable()
 	labeled := e.t.Labeled()
@@ -302,7 +298,7 @@ func (st *iterState) bagIntroduce(op *bagOp, child *bagTable) *bagTable {
 
 // bagForget sums out the forgotten vertex: entries that agree on the
 // remaining assignment and the (unchanged) subtree color set merge.
-func (st *iterState) bagForget(op *bagOp, child *bagTable) *bagTable {
+func (st *batchState) bagForget(op *bagOp, child *bagTable) *bagTable {
 	out := newBagTable()
 	for ci, ck := range child.keys {
 		if st.cancelled() {
@@ -319,7 +315,7 @@ func (st *iterState) bagForget(op *bagOp, child *bagTable) *bagTable {
 // portions stay rainbow-disjoint. Vertex-subtree connectivity guarantees
 // a template vertex never hides in both sides' forgotten sets, so the
 // color test is sufficient.
-func (st *iterState) bagJoin(op *bagOp, left, right *bagTable) *bagTable {
+func (st *batchState) bagJoin(op *bagOp, left, right *bagTable) *bagTable {
 	out := newBagTable()
 	width := len(op.verts)
 	// Group the right entries by assignment; left entries then probe by

@@ -16,69 +16,74 @@ import (
 // lane-strided vectors, table cells widen to [L]float64 lane blocks
 // (table.Multi), and every computeNode pass walks the adjacency and
 // enumerates the (Ca, Cp) splits once per batch instead of once per
-// iteration. Lane j colors with seed base+j — exactly the seed stream
-// the unbatched schedule uses — and counts are integer-valued float64s,
-// so per-lane totals are bit-identical to L unbatched iterations.
+// iteration. Lane j colors with seed base+j — exactly the seed stream a
+// one-lane schedule uses — and counts are integer-valued float64s, so
+// per-lane totals are bit-identical at every lane count. A single
+// iteration is simply a batch of one lane: fixed and converged runs,
+// per-vertex counts, sampling, profiling and the bag DP all run on this
+// state.
 type batchState struct {
 	e     *Engine
 	lanes int
+	// arena supplies the batch's table slabs and coloring and takes them
+	// back on release: the engine arena, or a concurrent slot's own.
+	arena *table.Arena
 	// colors is the lane-strided coloring: lane j of vertex v is
 	// colors[v*lanes+j].
 	colors []int8
 	tabs   map[*part.Node]*table.Multi
 	// leaves holds the implicit lane tables of non-root leaves: their
 	// cells derive from the coloring (leafLanes), so nothing is
-	// allocated or initialized for them in batched mode.
+	// allocated or initialized for them.
 	leaves    map[*part.Node]*leafLanes
 	remaining map[*part.Node]int
 	liveBytes int64
 	peakBytes int64
 	workers   int
-	// Tiling accounting for RunStats.
-	tiledPasses int64
-	tileSweeps  int64
+	// keep retains every table and the coloring after run (no eager
+	// release) for callers that read them — KeepTables sampling and
+	// VertexCounts; they hand the state back with release.
+	keep bool
 
-	stop    *atomic.Bool
+	// stop, when non-nil, is the cancellation flag armed by the run's
+	// context watcher. DP loops poll it at vertex granularity (one
+	// atomic load per vertex pass, negligible next to the pass itself).
+	stop *atomic.Bool
+	// aborted records that the batch was cut short; its totals are
+	// meaningless and its tables have been released.
 	aborted bool
 	// totals holds the per-lane colorful mapping totals after run.
-	totals    []float64
+	totals []float64
+	// nodeTimes, when non-nil, accumulates per-node wall time in tree
+	// evaluation order (observability; nil skips the clock calls).
 	nodeTimes []time.Duration
 
 	rowsAllocated, rowsReleased     int64
 	tablesAllocated, tablesReleased int64
 }
 
-// batchScratch is the lane-widened per-worker scratch: every row buffer
-// of the scalar scratch times the engine's batch width.
-type batchScratch struct {
-	buf      []float64 // output rows, nc*B
-	actRow   []float64 // materialized active lane row (hash fallback)
-	pasRow   []float64 // materialized passive lane row (hash fallback)
-	agg      []float64 // aggregated neighbor lane rows, ncP*B
-	colorAgg []float64 // per-(color, lane) neighbor sums, k*B
-	avB      []float64 // per-lane active root-cell values, B
-	tileBuf  []float64 // block output rows of the tiled pass, lazily grown
-	// kernel-choice tallies (in lane units, so counts stay comparable
-	// with unbatched runs), flushed on putBatchScratch.
+// scratch is the per-worker lane scratch, pooled on the Engine so it is
+// reused across nodes, workers, and traversals. Every row buffer is
+// sized to the engine's widest table times its batch width, which
+// covers any traversal of at most Engine.batch lanes.
+type scratch struct {
+	buf      []float64 // output rows, nc*L
+	actRow   []float64 // materialized active lane row (hash/succinct fallback)
+	pasRow   []float64 // materialized passive lane row (hash/succinct fallback)
+	agg      []float64 // aggregated neighbor lane rows, ncP*L
+	colorAgg []float64 // per-(color, lane) neighbor sums, k*L
+	avB      []float64 // per-lane active root-cell values, L
+	// kernel-choice tallies in lane units, flushed on putScratch.
 	directN int64
 	aggN    int64
 }
 
-// tileRows returns the block output-row buffer of the tiled pass,
-// growing it on first use (the pool's steady state carries it across
-// nodes and iterations).
-func (sc *batchScratch) tileRows(n int) []float64 {
-	if cap(sc.tileBuf) < n {
-		sc.tileBuf = make([]float64, n)
-	}
-	return sc.tileBuf[:n]
+func (e *Engine) getScratch() *scratch {
+	return e.scratchPool.Get().(*scratch)
 }
 
-func (e *Engine) getBatchScratch() *batchScratch {
-	return e.batchScratchPool.Get().(*batchScratch)
-}
-
-func (e *Engine) putBatchScratch(sc *batchScratch) {
+// putScratch returns scratch to the pool, flushing its kernel tallies.
+func (e *Engine) putScratch(sc *scratch) {
 	if sc.directN != 0 {
 		e.kernelDirect.Add(sc.directN)
 		sc.directN = 0
@@ -87,18 +92,21 @@ func (e *Engine) putBatchScratch(sc *batchScratch) {
 		e.kernelAggregate.Add(sc.aggN)
 		sc.aggN = 0
 	}
-	e.batchScratchPool.Put(sc)
+	e.scratchPool.Put(sc)
 }
 
 // newBatchState prepares a batch of lanes colorings: lane j is colored
-// by rand.NewSource(baseSeed+j) drawing exactly the per-vertex stream an
-// unbatched iteration with that seed would draw.
-func (e *Engine) newBatchState(baseSeed int64, lanes, workers int) *batchState {
+// by rand.NewSource(baseSeed+j) drawing exactly the per-vertex stream a
+// one-lane traversal with that seed would draw. lanes must not exceed
+// the engine's batch width (the pooled scratch is sized to it). The
+// state draws its slabs from arena and returns them there.
+func (e *Engine) newBatchState(arena *table.Arena, baseSeed int64, lanes, workers int) *batchState {
 	n := e.g.N()
 	st := &batchState{
 		e:         e,
 		lanes:     lanes,
-		colors:    e.arena.I8(n * lanes),
+		arena:     arena,
+		colors:    arena.I8(n * lanes),
 		tabs:      map[*part.Node]*table.Multi{},
 		leaves:    map[*part.Node]*leafLanes{},
 		remaining: map[*part.Node]int{},
@@ -123,8 +131,10 @@ func (e *Engine) newBatchState(baseSeed int64, lanes, workers int) *batchState {
 			}
 		}
 	}
-	for _, nd := range e.tree.Nodes {
-		st.remaining[nd] = nd.Consumers
+	if e.tree != nil {
+		for _, nd := range e.tree.Nodes {
+			st.remaining[nd] = nd.Consumers
+		}
 	}
 	return st
 }
@@ -139,6 +149,10 @@ func (st *batchState) cancelled() bool {
 // must discard the whole batch.
 func (st *batchState) run() {
 	e := st.e
+	if e.bag != nil {
+		st.totals[0] = st.runBag()
+		return
+	}
 	for ni, n := range e.tree.Order {
 		if st.cancelled() {
 			st.abort()
@@ -150,8 +164,8 @@ func (st *batchState) run() {
 		}
 		if n.IsLeaf() && n != e.tree.Root {
 			// Implicit leaf: cells derive from the coloring via
-			// leafLanes — no B×-widened leaf table to allocate, fill, or
-			// stream through the child kernels.
+			// leafLanes — no leaf table to allocate, fill, or stream
+			// through the child kernels.
 			st.leaves[n] = st.newLeafLanes(n)
 			if st.nodeTimes != nil {
 				st.nodeTimes[ni] += time.Since(nodeStart)
@@ -159,12 +173,12 @@ func (st *batchState) run() {
 			continue
 		}
 		nc := int(comb.Binomial(e.k, n.Size()))
-		tab := table.NewMulti(e.cfg.TableKind, e.g.N(), nc, st.lanes, e.arena)
+		tab := table.NewMulti(e.cfg.TableKind, e.g.N(), nc, st.lanes, st.arena)
 		st.tabs[n] = tab
 		if n.IsLeaf() {
-			st.initLeafB(n, tab)
+			st.initLeaf(n, tab)
 		} else {
-			st.computeNodeB(n, tab)
+			st.computeNode(n, tab)
 		}
 		if st.nodeTimes != nil {
 			st.nodeTimes[ni] += time.Since(nodeStart)
@@ -172,6 +186,7 @@ func (st *batchState) run() {
 		st.tablesAllocated++
 		st.rowsAllocated += tab.Rows()
 		if st.cancelled() {
+			// The pass aborted mid-node; the table is partial garbage.
 			st.abort()
 			return
 		}
@@ -180,23 +195,26 @@ func (st *batchState) run() {
 			st.peakBytes = st.liveBytes
 		}
 		if !n.IsLeaf() {
-			st.releaseChildrenB(n)
+			st.releaseChildren(n)
 		}
 	}
-	root := st.tabs[e.tree.Root]
-	root.Totals(st.totals)
-	st.rowsReleased += root.Rows()
-	st.tablesReleased++
-	root.Release()
-	e.arena.PutI8(st.colors)
-	st.colors = nil
-	// leafLanes alias st.colors; drop them with it.
-	st.leaves = nil
+	st.tabs[e.tree.Root].Totals(st.totals)
+	if !st.keep {
+		st.release()
+	}
 }
 
+// abort releases every live table after a cancellation and marks the
+// batch as discarded.
 func (st *batchState) abort() {
 	st.aborted = true
-	//lint:maporder ok — release-only loop on an aborted batch: the stats it folds are commutative integer sums
+	st.release()
+}
+
+// release returns every live table and the coloring to the batch's
+// arena. leafLanes alias the coloring, so they are dropped with it.
+func (st *batchState) release() {
+	//lint:maporder ok — release-only loop: the stats it folds are commutative integer sums, and teardown order cannot affect any estimate
 	for n, tab := range st.tabs {
 		st.rowsReleased += tab.Rows()
 		st.tablesReleased++
@@ -204,12 +222,15 @@ func (st *batchState) abort() {
 		delete(st.tabs, n)
 	}
 	st.liveBytes = 0
-	st.e.arena.PutI8(st.colors)
+	st.arena.PutI8(st.colors)
 	st.colors = nil
 	st.leaves = nil
 }
 
-func (st *batchState) releaseChildrenB(n *part.Node) {
+func (st *batchState) releaseChildren(n *part.Node) {
+	if st.keep {
+		return
+	}
 	for _, ch := range []*part.Node{n.Active, n.Passive} {
 		st.remaining[ch]--
 		if st.remaining[ch] == 0 {
@@ -227,10 +248,12 @@ func (st *batchState) releaseChildrenB(n *part.Node) {
 	}
 }
 
-// initLeafB fills a leaf's lane table: vertex v holds count 1 for the
-// singleton color set {color_j(v)} in lane j (label pruning is
-// lane-independent).
-func (st *batchState) initLeafB(n *part.Node, tab *table.Multi) {
+// initLeaf fills a root leaf's lane table (single-vertex templates, the
+// one leaf that materializes): vertex v holds count 1 for the singleton
+// color set {color_j(v)} in lane j — but only when v's graph label
+// matches the leaf's template label (Algorithm 2, line 4, plus the
+// labeled pruning of §V-A; label pruning is lane-independent).
+func (st *batchState) initLeaf(n *part.Node, tab *table.Multi) {
 	e := st.e
 	L := st.lanes
 	labeled := e.t.Labeled()
@@ -244,20 +267,21 @@ func (st *batchState) initLeafB(n *part.Node, tab *table.Multi) {
 		}
 		base := int(v) * L
 		for j := 0; j < L; j++ {
+			// The combinatorial index of the singleton {c} is c itself.
 			tab.Set(v, int32(st.colors[base+j]), j, 1)
 		}
 	}
 }
 
-// batchCtx binds a node's kernel shape to this batch's lane tables
+// nodeCtx binds a node's kernel shape to this batch's lane tables
 // (materialized Multi for internal children, implicit leafLanes for leaf
 // children).
-type batchCtx struct {
+type nodeCtx struct {
 	kernelShape
 	act, pas laneTab
 }
 
-// laneTabFor resolves a child node to its lane-table read surface.
+// laneTabFor resolves a node to its lane-table read surface.
 func (st *batchState) laneTabFor(n *part.Node) laneTab {
 	if tab, ok := st.tabs[n]; ok {
 		return tab
@@ -265,40 +289,32 @@ func (st *batchState) laneTabFor(n *part.Node) laneTab {
 	return st.leaves[n]
 }
 
-func (st *batchState) batchContext(n *part.Node, tab *table.Multi) *batchCtx {
-	return &batchCtx{
-		kernelShape: st.e.kernelShapeFor(n, tab.NumSets()),
+// computeNode fills an internal node's lane table from its children's
+// (Algorithm 2, lines 7-15), sharding vertices across workers.
+//
+// Workers never read the table being written (vertex passes read only
+// the children's completed tables), so for layouts that are unsafe for
+// concurrent writers (Hash) each worker fills a private staging table
+// lock-free and the stagings are merged after the barrier — no global
+// store mutex serializing the workers.
+func (st *batchState) computeNode(n *part.Node, tab *table.Multi) {
+	e := st.e
+	ctx := &nodeCtx{
+		kernelShape: e.kernelShapeFor(n, tab.NumSets()),
 		act:         st.laneTabFor(n.Active),
 		pas:         st.laneTabFor(n.Passive),
 	}
-}
-
-// computeNodeB fills an internal node's lane table from its children's,
-// sharding vertices across workers exactly like the scalar computeNode
-// (hash layouts go through per-worker lock-free staging + merge).
-func (st *batchState) computeNodeB(n *part.Node, tab *table.Multi) {
-	e := st.e
-	ctx := st.batchContext(n, tab)
 	nVerts := int32(e.g.N())
-	tc := newTileCtx(&ctx.kernelShape, e.tilePlanFor(&ctx.kernelShape, st.lanes))
-	if tc != nil {
-		st.tiledPasses++
-		st.tileSweeps += int64(len(tc.ts))
-	}
 
 	if st.workers <= 1 {
-		sc := e.getBatchScratch()
-		if tc != nil {
-			st.passRangeTiledB(ctx, tab, tc, 0, nVerts, sc)
-		} else {
-			for v := int32(0); v < nVerts; v++ {
-				if st.cancelled() {
-					break
-				}
-				st.vertexPassB(ctx, tab, v, sc)
+		sc := e.getScratch()
+		for v := int32(0); v < nVerts; v++ {
+			if st.cancelled() {
+				break
 			}
+			st.vertexPass(ctx, tab, v, sc)
 		}
-		e.putBatchScratch(sc)
+		e.putScratch(sc)
 		return
 	}
 
@@ -307,10 +323,7 @@ func (st *batchState) computeNodeB(n *part.Node, tab *table.Multi) {
 	if stage {
 		stagings = make([]*table.Multi, st.workers)
 	}
-	chunk := chunkFor(int(nVerts), st.workers)
-	if tc != nil {
-		chunk = chunkForTiled(int(nVerts), st.workers, tc.plan.blockVerts)
-	}
+	chunk := int32(chunkFor(int(nVerts), st.workers))
 	var next atomic.Int32
 	var wg sync.WaitGroup
 	for w := 0; w < st.workers; w++ {
@@ -319,33 +332,23 @@ func (st *batchState) computeNodeB(n *part.Node, tab *table.Multi) {
 			defer wg.Done()
 			target := tab
 			if stage {
-				s := table.NewMulti(table.Hash, int(nVerts), ctx.nc, st.lanes, e.arena)
+				s := table.NewMulti(table.Hash, int(nVerts), ctx.nc, st.lanes, st.arena)
 				stagings[w] = s
 				target = s
 			}
-			sc := e.getBatchScratch()
-			defer e.putBatchScratch(sc)
+			sc := e.getScratch()
+			defer e.putScratch(sc)
 			for {
-				if st.cancelled() {
-					return
-				}
-				start := next.Add(int32(chunk)) - int32(chunk)
+				start := next.Add(chunk) - chunk
 				if start >= nVerts {
 					return
 				}
-				end := start + int32(chunk)
-				if end > nVerts {
-					end = nVerts
-				}
-				if tc != nil {
-					st.passRangeTiledB(ctx, target, tc, start, end, sc)
-					continue
-				}
+				end := min(start+chunk, nVerts)
 				for v := start; v < end; v++ {
 					if st.cancelled() {
 						return
 					}
-					st.vertexPassB(ctx, target, v, sc)
+					st.vertexPass(ctx, target, v, sc)
 				}
 			}
 		}(w)
@@ -361,50 +364,34 @@ func (st *batchState) computeNodeB(n *part.Node, tab *table.Multi) {
 	}
 }
 
-// vertexPassB computes the lane-strided color-set rows of one vertex for
-// all lanes at once and stores them into tab. The kernel decision is a
-// function of degree and node shape only, so all lanes of a vertex run
-// the same kernel; the tallies count lane units to stay comparable with
-// unbatched runs.
-func (st *batchState) vertexPassB(ctx *batchCtx, tab *table.Multi, v int32, sc *batchScratch) {
-	if !ctx.act.Has(v) {
-		return
-	}
-	adj := st.e.g.Adj(v)
-	if len(adj) == 0 {
-		return
-	}
-	L := st.lanes
-	aggregate := ctx.useAggregate(len(adj))
-	if aggregate {
-		sc.aggN += int64(L)
-	} else {
-		sc.directN += int64(L)
-	}
-	buf := sc.buf[:ctx.nc*L]
-	clear(buf)
+// chunkOverride, when positive, pins the work-stealing chunk size — a
+// benchmark knob for comparing against the historical constant (512).
+// Set it only while no DP pass is running.
+var chunkOverride int
 
-	switch ctx.branch {
-	case branchSize2:
-		st.passSize2B(ctx, v, adj, buf, sc, aggregate)
-	case branchActiveSingle:
-		st.passActiveSingleB(ctx, v, adj, buf, sc, aggregate)
-	case branchPassiveSingle:
-		st.passPassiveSingleB(ctx, v, adj, buf, sc, aggregate)
-	default:
-		if aggregate {
-			st.passGeneralAggregateB(ctx, v, adj, buf, sc)
-		} else {
-			st.passGeneralDirectB(ctx, v, adj, buf, sc)
-		}
+// chunkFor sizes the work-stealing chunks of the inner-parallel vertex
+// loop. The historical constant 512 under-splits small graphs (a worker
+// can end up with one giant chunk while others idle) and over-splits
+// huge ones (atomic contention on the shared cursor). Targeting ~8
+// chunks per worker balances stealing granularity against cursor
+// traffic, with a floor that keeps per-chunk overhead negligible and a
+// ceiling that preserves stealing on degree-skewed graphs, where one
+// chunk of hubs can cost many times a chunk of leaves.
+func chunkFor(nVerts, workers int) int {
+	if chunkOverride > 0 {
+		return chunkOverride
 	}
-	// Counts are nonnegative, so "some lane contributed" is exactly
-	// "some cell is nonzero" — the same presence rule the scalar pass
-	// applies per lane, unioned over lanes.
-	for _, x := range buf {
-		if x != 0 {
-			tab.StoreRow(v, buf)
-			return
-		}
+	const (
+		chunksPerWorker = 8
+		minChunk        = 64
+		maxChunk        = 4096
+	)
+	c := nVerts / (workers * chunksPerWorker)
+	if c < minChunk {
+		return minChunk
 	}
+	if c > maxChunk {
+		return maxChunk
+	}
+	return c
 }

@@ -94,58 +94,6 @@ func BenchmarkBatchedDPSmall(b *testing.B) {
 	}
 }
 
-// BenchmarkTiledDPSmall is the CI smoke of the tiled execution layer
-// (make bench-tile): a small graph run untiled, then with a forced
-// 2-column tile width at B=1 and B=4, with an estimate-equivalence
-// assertion so the smoke run doubles as an end-to-end
-// tiled-vs-untiled bit-identity check.
-func BenchmarkTiledDPSmall(b *testing.B) {
-	g := gen.ErdosRenyiM(5_000, 20_000, 1)
-	tpl := tmpl.MustNamed("U7-1")
-	const iters = 4
-	var ref []float64
-	for _, run := range []struct {
-		name     string
-		tileCols int
-		batch    int
-	}{
-		{"untiled", -1, 1},
-		{"tiledB1", 2, 1},
-		{"tiledB4", 2, 4},
-	} {
-		cfg := DefaultConfig()
-		cfg.Batch = run.batch
-		cfg.Mode = Inner
-		cfg.Workers = 1
-		cfg.TileCols = run.tileCols
-		e, err := New(g, tpl, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(run.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := e.Run(iters)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if run.tileCols > 0 && res.Stats.TiledPasses == 0 {
-					b.Fatalf("%s: no pass ran tiled", run.name)
-				}
-				if run.tileCols < 0 {
-					ref = res.PerIteration
-				} else if ref != nil {
-					for j := range res.PerIteration {
-						if res.PerIteration[j] != ref[j] {
-							b.Fatalf("%s iteration %d: %v != untiled %v",
-								run.name, j, res.PerIteration[j], ref[j])
-						}
-					}
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkChunkSkew compares the historical fixed work-stealing chunk
 // (512 vertices) against the adaptive chunkFor policy on a degree-skewed
 // Barabási–Albert graph, where a fixed chunk of hub vertices can cost

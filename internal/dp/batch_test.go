@@ -323,54 +323,70 @@ func TestHybridSplit(t *testing.T) {
 }
 
 // TestBatchCancellation checks that a cancelled batched run returns a
-// clean partial result: completed batches' lanes are kept in seed order
-// and everything allocated is released.
+// clean partial result: the kept iterations are a seed-order prefix of
+// the uncancelled stream and everything allocated is released. Inner
+// mode runs batches in order, so cancelling from the first batch's fold
+// keeps exactly that batch. Outer mode runs two batches at once, so a
+// later batch may finish before an earlier one is cut short; whatever
+// it keeps (possibly nothing) must still be a prefix.
 func TestBatchCancellation(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	g := randomGraph(rng, 400, 2000)
 	cfg := DefaultConfig()
 	cfg.Batch = 2
 	cfg.Seed = 3
+	cfg.Workers = 2
 	e, err := New(g, tmpl.Path(6), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	calls := 0
-	cfg2 := cfg
-	cfg2.OnIteration = func(i int, est float64, _ time.Duration) {
-		calls++
-		if calls == 2 { // cancel after the first full batch folds
-			cancel()
-		}
-	}
-	e2, err := New(g, tmpl.Path(6), cfg2)
+	const iters = 50
+	ref, err := e.Run(iters)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e2.RunContext(ctx, 50)
-	if err == nil {
-		t.Fatal("expected context error")
-	}
-	if !res.Stats.Cancelled {
-		t.Fatal("Stats.Cancelled not set")
-	}
-	if len(res.PerIteration) == 0 || len(res.PerIteration) >= 50 {
-		t.Fatalf("partial run kept %d iterations", len(res.PerIteration))
-	}
-	// Completed prefix must match an uncancelled run's estimates.
-	ref, err := e.Run(len(res.PerIteration))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range res.PerIteration {
-		if res.PerIteration[i] != ref.PerIteration[i] {
-			t.Fatalf("partial iteration %d: %v != %v", i, res.PerIteration[i], ref.PerIteration[i])
+	for _, mode := range []Mode{Inner, Outer} {
+		ctx, cancel := context.WithCancel(context.Background())
+		calls := 0
+		c := cfg
+		c.Mode = mode
+		c.OnIteration = func(i int, est float64, _ time.Duration) {
+			calls++
+			if calls == 2 { // cancel after the first full batch folds
+				cancel()
+			}
 		}
-	}
-	if res.Stats.RowsAllocated != res.Stats.RowsReleased {
-		t.Fatalf("cancelled batched run leaked rows: %d allocated, %d released",
-			res.Stats.RowsAllocated, res.Stats.RowsReleased)
+		e2, err := New(g, tmpl.Path(6), c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := e2.RunContext(ctx, iters)
+		cancel()
+		if err == nil {
+			t.Fatalf("%v: expected context error", mode)
+		}
+		if !res.Stats.Cancelled {
+			t.Fatalf("%v: Stats.Cancelled not set", mode)
+		}
+		if len(res.PerIteration) >= iters {
+			t.Fatalf("%v: partial run kept %d iterations", mode, len(res.PerIteration))
+		}
+		if mode == Inner && len(res.PerIteration) != 2 {
+			t.Fatalf("Inner: partial run kept %d iterations, want the first batch's 2", len(res.PerIteration))
+		}
+		for i := range res.PerIteration {
+			if res.PerIteration[i] != ref.PerIteration[i] {
+				t.Fatalf("%v: partial iteration %d: %v != %v", mode, i, res.PerIteration[i], ref.PerIteration[i])
+			}
+		}
+		if res.Stats.Iterations != len(res.PerIteration) || len(res.Stats.IterTimes) != len(res.PerIteration) {
+			t.Fatalf("%v: stats count %d iterations and %d times for a %d-iteration prefix",
+				mode, res.Stats.Iterations, len(res.Stats.IterTimes), len(res.PerIteration))
+		}
+		if res.Stats.RowsAllocated != res.Stats.RowsReleased {
+			t.Fatalf("%v: cancelled batched run leaked rows: %d allocated, %d released",
+				mode, res.Stats.RowsAllocated, res.Stats.RowsReleased)
+		}
 	}
 }
 

@@ -12,7 +12,9 @@ package dp
 import (
 	"fmt"
 	"math"
+	"os"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -95,29 +97,21 @@ type Config struct {
 	// Results are identical in all modes.
 	Kernel KernelMode
 	// Batch is the number of independent colorings ("lanes") each DP
-	// traversal carries: 0 or 1 runs the classic one-coloring-per-pass
-	// schedule, B > 1 walks the adjacency and split tables ONCE per B
-	// iterations with table cells widened to [B]float64 lane blocks, and
-	// BatchAuto (any negative value) sizes B from the table widths and a
-	// per-lane memory budget. Peak table memory grows by B× a single
-	// iteration. Estimates are bit-identical to unbatched runs: lane j of
-	// batch b colors with seed Seed + b·B + j, the same per-iteration
-	// seed stream Run has always used. Batching applies to Run/RunContext;
-	// VertexCounts, RunConverged, and KeepTables sampling runs stay
-	// unbatched (they need one coloring's tables at a time).
+	// traversal of Run/RunContext carries: every traversal walks the
+	// adjacency and split tables once for all of its lanes, with table
+	// cells widened to [B]float64 lane blocks. 0 or 1 runs one lane per
+	// traversal, and BatchAuto (any negative value) sizes B from the
+	// table widths and a per-lane memory budget. Peak table memory grows
+	// by B× a single iteration. Estimates are bit-identical at every
+	// width: lane j of batch b colors with seed Seed + b·B + j, the same
+	// per-iteration seed stream at every B. VertexCounts, RunConverged,
+	// ColorfulTotal and KeepTables sampling runs traverse one lane at a
+	// time (they need one coloring's tables, or stop per iteration).
 	Batch int
 	// KeepTables retains all subtemplate tables after a run, enabling
 	// embedding sampling at the cost of the memory the eager-release
 	// schedule would have saved. It forces Share off.
 	KeepTables bool
-	// LLCBytes is the cache budget of the tiled DP execution layer: when
-	// a node's passive table exceeds it, the pass sweeps the passive
-	// columns in budget-sized tiles so the gathered rows stay
-	// cache-resident. >0 sets an explicit budget, 0 defers to the
-	// FASCIA_LLC_BYTES environment variable (then a 64 MiB default), and
-	// <0 disables tiling. Tiling regroups exact integer sums only, so
-	// estimates are bit-identical in every setting.
-	LLCBytes int64
 	// MemBudgetBytes bounds peak table memory: when > 0, table slabs at
 	// least spillMinBytes large are drawn from unlinked file-backed
 	// mappings the OS can page out under pressure, and the automatic
@@ -127,10 +121,6 @@ type Config struct {
 	// disables spilling. Spilling only relocates storage; estimates are
 	// bit-identical in every setting.
 	MemBudgetBytes int64
-	// TileCols, when > 0, pins the per-lane tile width in passive color
-	// columns (a test/benchmark knob that forces tiling regardless of
-	// budget); < 0 disables tiling; 0 lets LLCBytes decide.
-	TileCols int
 	// Reorder controls the degree-bucketed vertex relabeling applied at
 	// engine construction: ReorderAuto (default) enables it on large
 	// degree-skewed graphs, ReorderOn forces it, ReorderOff disables it.
@@ -142,8 +132,9 @@ type Config struct {
 	// iteration with its seed index, its estimate, and the wall time
 	// elapsed since the run started — a progress hook. Under outer and
 	// hybrid parallelism calls are serialized but indices may arrive out
-	// of order; the callback must not block for long (it holds the
-	// run's result lock).
+	// of order, and a cancelled run may report iterations past the
+	// seed-order prefix it keeps; the callback must not block for long
+	// (it holds the run's result lock).
 	OnIteration func(i int, estimate float64, elapsed time.Duration)
 	// ForceBagDP routes tree templates through the tree-decomposition
 	// bag DP (the engine non-tree templates always use) instead of the
@@ -196,14 +187,11 @@ type Engine struct {
 	aut    int64   // |Aut(T)|
 	rAut   int64   // automorphisms fixing the partition root
 	maxNC  int     // largest NumSets over all nodes
-	maxNcP int     // largest passive-child NumSets over internal nodes
-	batch  int     // resolved lane count (1 = unbatched)
+	batch  int     // resolved lane count of Run's traversals
 
 	// ord, when non-nil, is the degree-bucketed vertex relabeling under
 	// which e.g was rebuilt; Orig maps engine ids back to the caller's.
 	ord *graph.Ordering
-	// llcBytes is the resolved tiling cache budget (0 = tiling disabled).
-	llcBytes int64
 	// memBytes is the resolved peak-memory budget (0 = unlimited).
 	memBytes int64
 
@@ -211,24 +199,26 @@ type Engine struct {
 	singles map[int][][]comb.SingletonEntry // size -> per-color entries
 
 	// arena recycles table backing slabs and color vectors across
-	// iterations and batches (engine-lifetime free lists; outer-parallel
-	// iterations share it under its own lock).
+	// iterations and batches (engine-lifetime free lists). It is also
+	// the arena of concurrent batch slot 0.
 	arena *table.Arena
+	// slotArenas[w-1] is the arena of concurrent batch slot w >= 1 (see
+	// runBatches), created on first use.
+	slotArenas []*table.Arena
 
-	// scratchPool recycles per-worker scratch buffers across nodes,
-	// workers, and iterations (outer-parallel iterations share it too).
+	// scratchPool recycles per-worker lane scratch buffers across nodes,
+	// workers, and traversals (concurrent traversals share it too).
 	scratchPool sync.Pool
-	// batchScratchPool is the lane-widened variant used by batched runs.
-	batchScratchPool sync.Pool
 	// kernelDirect / kernelAggregate count vertex passes executed by each
 	// kernel since engine creation, for diagnostics and the fasciabench
 	// kernel ablation.
 	kernelDirect    atomic.Int64
 	kernelAggregate atomic.Int64
 
-	// kept tables from the last iteration when cfg.KeepTables is set.
-	kept       map[*part.Node]table.Table
-	keptColors []int8
+	// kept is the finished one-lane state of the last iteration when
+	// cfg.KeepTables is set: its tables and coloring outlive the run for
+	// SampleEmbeddings.
+	kept *batchState
 }
 
 // New validates the configuration and precomputes the partition tree and
@@ -272,7 +262,6 @@ func New(g *graph.Graph, t *tmpl.Template, cfg Config) (*Engine, error) {
 		singles: map[int][][]comb.SingletonEntry{},
 		arena:   &table.Arena{},
 	}
-	e.llcBytes = resolveLLCBytes(cfg.LLCBytes)
 	e.memBytes = resolveMemBytes(cfg.MemBudgetBytes)
 	if e.memBytes > 0 {
 		// Out-of-core mode: large table slabs move to unlinked
@@ -292,9 +281,6 @@ func New(g *graph.Graph, t *tmpl.Template, cfg Config) (*Engine, error) {
 		if n.IsLeaf() {
 			continue
 		}
-		if ncP := int(comb.Binomial(k, n.Passive.Size())); ncP > e.maxNcP {
-			e.maxNcP = ncP
-		}
 		h, aN := n.Size(), n.Active.Size()
 		key := [2]int{h, aN}
 		if _, ok := e.splits[key]; !ok {
@@ -306,19 +292,10 @@ func New(g *graph.Graph, t *tmpl.Template, cfg Config) (*Engine, error) {
 			}
 		}
 	}
-	e.scratchPool.New = func() any {
-		return &scratch{
-			buf:      make([]float64, e.maxNC),
-			actRow:   make([]float64, e.maxNC),
-			pasRow:   make([]float64, e.maxNC),
-			agg:      make([]float64, e.maxNC),
-			colorAgg: make([]float64, e.k),
-		}
-	}
 	e.batch = e.resolveBatch()
-	e.batchScratchPool.New = func() any {
+	e.scratchPool.New = func() any {
 		w := e.maxNC * e.batch
-		return &batchScratch{
+		return &scratch{
 			buf:      make([]float64, w),
 			actRow:   make([]float64, w),
 			pasRow:   make([]float64, w),
@@ -359,13 +336,6 @@ func (e *Engine) resolveBatch() int {
 		for b < 16 && int64(2*b)*perLane <= budget {
 			b *= 2
 		}
-		// Joint (B, tile) sizing: widening lanes widens the passive
-		// tables, which the tiled pass compensates by sweeping more
-		// column tiles — each sweep re-streaming the adjacency. Shrink B
-		// until the widest pass stays within the sweep cap.
-		for b > 1 && tilesNeeded(int64(float64(e.g.N())*float64(e.maxNcP)*float64(b)*cell), e.llcBytes) > maxTileSweeps {
-			b /= 2
-		}
 		return b
 	}
 	if b < 1 {
@@ -377,13 +347,72 @@ func (e *Engine) resolveBatch() int {
 	return b
 }
 
-// Batch returns the resolved lane count (1 = unbatched) — the number of
-// concurrent colorings each DP traversal carries.
+// memEnvVar names the environment variable Config.MemBudgetBytes = 0
+// defers to.
+const memEnvVar = "FASCIA_MEM_BYTES"
+
+// resolveMemBytes lowers the Config.MemBudgetBytes knob: >0 is an
+// explicit budget, <0 disables spilling (resolved 0), and 0 defers to
+// the FASCIA_MEM_BYTES environment variable, then unlimited.
+func resolveMemBytes(cfg int64) int64 {
+	if cfg > 0 {
+		return cfg
+	}
+	if cfg < 0 {
+		return 0
+	}
+	if s := os.Getenv(memEnvVar); s != "" {
+		if v, err := strconv.ParseInt(s, 10, 64); err == nil && v > 0 {
+			return v
+		}
+	}
+	return 0
+}
+
+// Batch returns the resolved lane count — the number of concurrent
+// colorings each traversal of Run carries.
 func (e *Engine) Batch() int { return e.batch }
 
 // ArenaStats returns cumulative table-slab reuse counters of the
-// engine's arena: free-list hits and fresh allocations.
-func (e *Engine) ArenaStats() (hits, misses int64) { return e.arena.Stats() }
+// engine's arenas: free-list hits and fresh allocations.
+func (e *Engine) ArenaStats() (hits, misses int64) {
+	for _, a := range e.arenas() {
+		h, m := a.Stats()
+		hits, misses = hits+h, misses+m
+	}
+	return hits, misses
+}
+
+// spillStats sums the arenas' live spill-backed slabs and mapped bytes.
+func (e *Engine) spillStats() (slabs int, bytes int64) {
+	for _, a := range e.arenas() {
+		s, b := a.SpillStats()
+		slabs, bytes = slabs+s, bytes+b
+	}
+	return slabs, bytes
+}
+
+// arenas returns the engine arena followed by the slot arenas.
+func (e *Engine) arenas() []*table.Arena {
+	return append([]*table.Arena{e.arena}, e.slotArenas...)
+}
+
+// slotArena returns the arena of concurrent batch slot w: the engine
+// arena for slot 0, a slot-owned one (spilling like the engine arena)
+// otherwise. Callers serialize it.
+func (e *Engine) slotArena(w int) *table.Arena {
+	if w == 0 {
+		return e.arena
+	}
+	for len(e.slotArenas) < w {
+		a := &table.Arena{}
+		if e.memBytes > 0 {
+			a.SetSpill(0)
+		}
+		e.slotArenas = append(e.slotArenas, a)
+	}
+	return e.slotArenas[w-1]
+}
 
 // KernelStats returns cumulative counts of internal-node vertex passes
 // executed by the direct and aggregated kernels since engine creation.

@@ -33,7 +33,9 @@ func randomTree(rng *rand.Rand, k int) *tmpl.Template {
 // TestColorfulExactEquivalence is the keystone correctness test: under a
 // fixed coloring, the DP's colorful-mapping total must EXACTLY equal
 // brute-force colorful enumeration, for every combination of strategy,
-// table layout, sharing, leaf specialization, and worker count.
+// table layout, sharing, leaf specialization, worker count, and lane
+// count — each lane of a multi-lane traversal against enumeration under
+// that lane's own coloring.
 func TestColorfulExactEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 6; trial++ {
@@ -43,30 +45,37 @@ func TestColorfulExactEquivalence(t *testing.T) {
 		tr := randomTree(rng, k)
 		seed := rng.Int63()
 
-		var want int64 = -1
-		for _, strat := range []part.Strategy{part.OneAtATime, part.Balanced} {
-			for _, kind := range table.Kinds {
-				for _, share := range []bool{false, true} {
-					for _, noSpecial := range []bool{false, true} {
-						for _, workers := range []int{1, 3} {
-							cfg := DefaultConfig()
-							cfg.Strategy = strat
-							cfg.TableKind = kind
-							cfg.Share = share
-							cfg.DisableLeafSpecial = noSpecial
-							cfg.Workers = workers
-							cfg.Mode = Inner
-							e, err := New(g, tr, cfg)
-							if err != nil {
-								t.Fatal(err)
-							}
-							if want < 0 {
-								want = exact.CountColorfulMappings(g, tr, e.ColoringFor(seed))
-							}
-							got := e.ColorfulTotal(seed)
-							if got != float64(want) {
-								t.Fatalf("trial %d (%v/%v/share=%v/nospecial=%v/w=%d): DP total %v, exact %d\ntemplate %v",
-									trial, strat, kind, share, noSpecial, workers, got, want, tr)
+		var want []int64
+		for _, lanes := range []int{1, 3} {
+			for _, strat := range []part.Strategy{part.OneAtATime, part.Balanced} {
+				for _, kind := range table.Kinds {
+					for _, share := range []bool{false, true} {
+						for _, noSpecial := range []bool{false, true} {
+							for _, workers := range []int{1, 3} {
+								cfg := DefaultConfig()
+								cfg.Strategy = strat
+								cfg.TableKind = kind
+								cfg.Share = share
+								cfg.DisableLeafSpecial = noSpecial
+								cfg.Workers = workers
+								cfg.Mode = Inner
+								cfg.Batch = lanes
+								e, err := New(g, tr, cfg)
+								if err != nil {
+									t.Fatal(err)
+								}
+								for len(want) < lanes {
+									s := seed + int64(len(want))
+									want = append(want, exact.CountColorfulMappings(g, tr, e.ColoringFor(s)))
+								}
+								st := e.newBatchState(e.arena, seed, lanes, workers)
+								st.run()
+								for j, got := range st.totals {
+									if got != float64(want[j]) {
+										t.Fatalf("trial %d (lanes=%d lane %d/%v/%v/share=%v/nospecial=%v/w=%d): DP total %v, exact %d\ntemplate %v",
+											trial, lanes, j, strat, kind, share, noSpecial, workers, got, want[j], tr)
+									}
+								}
 							}
 						}
 					}
@@ -341,7 +350,7 @@ func TestSampleEmbeddings(t *testing.T) {
 	if err != nil {
 		t.Skip("no colorful embeddings under this coloring")
 	}
-	colors := e.keptColors
+	colors := e.kept.colors
 	for _, emb := range embs {
 		if err := e.VerifyEmbedding(emb); err != nil {
 			t.Fatal(err)
@@ -657,6 +666,31 @@ func TestRunConvergedPriorResume(t *testing.T) {
 	if done.Estimate != full.Estimate || done.StdErr != full.StdErr {
 		t.Fatalf("converged-prior estimate %v ± %v != full %v ± %v",
 			done.Estimate, done.StdErr, full.Estimate, full.StdErr)
+	}
+}
+
+// TestStopIndex pins the Welford stopping rule every adaptive tier
+// shares: constant streams stop at the floor, high-variance streams
+// never stop, zero means and non-positive targets disable stopping.
+func TestStopIndex(t *testing.T) {
+	constant := []float64{8, 8, 8, 8, 8, 8}
+	if got := StopIndex(constant, 0.1, 4); got != 4 {
+		t.Fatalf("constant stream: stop %d, want 4 (the floor)", got)
+	}
+	if got := StopIndex(constant, 0.1, 0); got != 2 {
+		t.Fatalf("minIters < 2 not clamped: stop %d, want 2", got)
+	}
+	if got := StopIndex([]float64{1, 100, 1, 100, 1, 100}, 0.01, 2); got != -1 {
+		t.Fatalf("high-variance stream converged at %d", got)
+	}
+	if got := StopIndex([]float64{5, -5, 5, -5}, 0.5, 2); got != -1 {
+		t.Fatalf("zero-mean stream converged at %d", got)
+	}
+	if got := StopIndex(constant, 0, 2); got != -1 {
+		t.Fatalf("non-positive target converged at %d", got)
+	}
+	if got := StopIndex(nil, 0.1, 2); got != -1 {
+		t.Fatalf("empty stream converged at %d", got)
 	}
 }
 

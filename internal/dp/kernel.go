@@ -73,10 +73,9 @@ const directCellCost = 2
 
 // kernelShape is the layout-independent per-node kernel context: the
 // specialization branch, the combinatorial index tables, the table
-// widths, and the resolved cost-model threshold. It is shared between
-// the scalar vertex pass (nodeCtx) and the batched one (batchCtx), so
-// the kernel decision — a function of degree and widths only — is
-// identical in both execution modes.
+// widths, and the resolved cost-model threshold. nodeCtx binds it to a
+// traversal's lane tables; the kernel decision — a function of degree
+// and widths only — is identical at every lane count.
 type kernelShape struct {
 	n       *part.Node
 	split   *comb.SplitTable
@@ -93,14 +92,6 @@ type kernelShape struct {
 	// aggMinDeg is the KernelAuto decision threshold: vertices with
 	// degree >= aggMinDeg run the aggregated kernel.
 	aggMinDeg int
-}
-
-// nodeCtx carries everything a scalar vertex pass needs for one internal
-// node, precomputed once per computeNode call instead of re-derived per
-// vertex.
-type nodeCtx struct {
-	kernelShape
-	act, pas table.Table
 }
 
 // kernelShapeFor builds the per-node kernel shape, resolving the kernel
@@ -176,16 +167,6 @@ func (e *Engine) kernelShapeFor(n *part.Node, nc int) kernelShape {
 	return ctx
 }
 
-// nodeContext binds the node's kernel shape to this iteration's child
-// tables.
-func (st *iterState) nodeContext(n *part.Node, tab table.Table) *nodeCtx {
-	return &nodeCtx{
-		kernelShape: st.e.kernelShapeFor(n, tab.NumSets()),
-		act:         st.tabs[n.Active],
-		pas:         st.tabs[n.Passive],
-	}
-}
-
 // useAggregate resolves the kernel for one vertex of degree deg.
 func (ctx *kernelShape) useAggregate(deg int) bool {
 	switch ctx.mode {
@@ -198,10 +179,12 @@ func (ctx *kernelShape) useAggregate(deg int) bool {
 	}
 }
 
-// vertexPass computes the full color-set row of one vertex v for node
-// ctx.n and stores it into tab (which is ctx's node table or a per-worker
-// staging table in Hash inner-parallel mode).
-func (st *iterState) vertexPass(ctx *nodeCtx, tab table.Table, v int32, sc *scratch) {
+// vertexPass computes the lane-strided color-set rows of one vertex for
+// all lanes at once and stores them into tab. The kernel decision is a
+// function of degree and node shape only, so all lanes of a vertex run
+// the same kernel; the tallies count lane units, so they read the same
+// at every lane count.
+func (st *batchState) vertexPass(ctx *nodeCtx, tab *table.Multi, v int32, sc *scratch) {
 	if !ctx.act.Has(v) {
 		return
 	}
@@ -209,232 +192,365 @@ func (st *iterState) vertexPass(ctx *nodeCtx, tab table.Table, v int32, sc *scra
 	if len(adj) == 0 {
 		return
 	}
+	L := st.lanes
 	aggregate := ctx.useAggregate(len(adj))
 	if aggregate {
-		sc.aggN++
+		sc.aggN += int64(L)
 	} else {
-		sc.directN++
+		sc.directN += int64(L)
 	}
-	buf := sc.buf[:ctx.nc]
-	for i := range buf {
-		buf[i] = 0
-	}
+	buf := sc.buf[:ctx.nc*L]
+	clear(buf)
 
-	var any bool
 	switch ctx.branch {
 	case branchSize2:
-		any = st.passSize2(ctx, v, adj, buf, sc, aggregate)
+		st.passSize2(ctx, v, adj, buf, sc, aggregate)
 	case branchActiveSingle:
-		any = st.passActiveSingle(ctx, v, adj, buf, sc, aggregate)
+		st.passActiveSingle(ctx, v, adj, buf, sc, aggregate)
 	case branchPassiveSingle:
-		any = st.passPassiveSingle(ctx, v, adj, buf, sc, aggregate)
+		st.passPassiveSingle(ctx, v, adj, buf, sc, aggregate)
 	default:
 		if aggregate {
-			any = st.passGeneralAggregate(ctx, v, adj, buf, sc)
+			st.passGeneralAggregate(ctx, v, adj, buf, sc)
 		} else {
-			any = st.passGeneralDirect(ctx, v, adj, buf, sc)
+			st.passGeneralDirect(ctx, v, adj, buf, sc)
 		}
 	}
-	if any {
-		tab.StoreRow(v, buf)
+	// Counts are nonnegative, so "some lane contributed" is exactly
+	// "some cell is nonzero": presence is the union over lanes.
+	for _, x := range buf {
+		if x != 0 {
+			tab.StoreRow(v, buf)
+			return
+		}
 	}
 }
 
-// passSize2 handles h == 2: both children are single vertices, so the
-// only contributing color set is {color(v), color(u)} with distinct
-// colors. The aggregated variant groups neighbors by color first.
-func (st *iterState) passSize2(ctx *nodeCtx, v int32, adj []int32, buf []float64, sc *scratch, aggregate bool) bool {
-	act, pas := ctx.act, ctx.pas
-	av := act.Get(v, int32(st.colors[v]))
-	if av == 0 {
-		return false
-	}
-	cv := int(st.colors[v])
+// The lane kernels, one per branch of Algorithm 2's inner step. Every
+// kernel walks the adjacency and the combinatorial index tables exactly
+// once per traversal and runs a flat float64 multiply-add over the
+// L-lane blocks in its innermost loop. Counts are integer-valued
+// float64s, so every summation order is exact (up to 2^53) and each
+// lane's result is bit-identical at every lane count, kernel choice and
+// layout. Zero-skip guards are kept only where they gate whole loops (a
+// zero active cell contributes zero products either way), so dropping
+// per-cell branches inside lane loops cannot change any value —
+// 0·x == 0 for the finite nonnegative counts stored here.
+
+// laneActives fills sc.avB with lane j's active root cell
+// act[v][{color_j(v)}] and reports whether any lane is nonzero: a zero
+// active root cell contributes nothing, so a vertex with no nonzero lane
+// returns early.
+func (st *batchState) laneActives(ctx *nodeCtx, v int32, sc *scratch) ([]float64, bool) {
+	L := st.lanes
+	avB := sc.avB[:L]
+	base := int(v) * L
 	any := false
+	if lf, ok := ctx.act.(*leafLanes); ok {
+		// Implicit leaf active child: cell (v, {color_j(v)}, j) is by
+		// definition the seeded 1 (or 0 on a label mismatch).
+		if !lf.ok(v) {
+			return avB, false
+		}
+		for j := 0; j < L; j++ {
+			avB[j] = 1
+		}
+		return avB, true
+	}
+	if arow := ctx.act.LaneRow(v); arow != nil {
+		for j := 0; j < L; j++ {
+			av := arow[int(st.colors[base+j])*L+j]
+			avB[j] = av
+			any = any || av != 0
+		}
+		return avB, any
+	}
+	for j := 0; j < L; j++ {
+		av := ctx.act.Get(v, int32(st.colors[base+j]), j)
+		avB[j] = av
+		any = any || av != 0
+	}
+	return avB, any
+}
+
+// passSize2 handles h == 2, where both children are single vertices:
+// lane j contributes only the pair set {color_j(v), color_j(u)} with
+// distinct colors. The aggregated variant groups neighbors into
+// per-(color, lane) sums first.
+func (st *batchState) passSize2(ctx *nodeCtx, v int32, adj []int32, buf []float64, sc *scratch, aggregate bool) {
+	L := st.lanes
+	avB, any := st.laneActives(ctx, v, sc)
+	if !any {
+		return
+	}
+	pas := ctx.pas
+	vbase := int(v) * L
 	if !aggregate {
+		if lf, ok := pas.(*leafLanes); ok {
+			// Implicit leaf passive child: lane j of neighbor u holds 1 at
+			// u's own color and 0 elsewhere, so the contraction collapses
+			// to one colors-vector read per (neighbor, lane) — no table.
+			for _, u := range adj {
+				if !lf.ok(u) {
+					continue
+				}
+				ubase := int(u) * L
+				for j := 0; j < L; j++ {
+					av := avB[j]
+					if av == 0 {
+						continue
+					}
+					cv := int(st.colors[vbase+j])
+					cu := int(st.colors[ubase+j])
+					if cu == cv {
+						continue
+					}
+					buf[int(comb.PairIndex(cv, cu))*L+j] += av // pv == 1
+				}
+			}
+			return
+		}
 		for _, u := range adj {
-			cu := int(st.colors[u])
-			if cu == cv {
+			ubase := int(u) * L
+			if prow := pas.LaneRow(u); prow != nil {
+				for j := 0; j < L; j++ {
+					av := avB[j]
+					if av == 0 {
+						continue
+					}
+					cv := int(st.colors[vbase+j])
+					cu := int(st.colors[ubase+j])
+					if cu == cv {
+						continue
+					}
+					if pv := prow[cu*L+j]; pv != 0 {
+						buf[int(comb.PairIndex(cv, cu))*L+j] += av * pv
+					}
+				}
+			} else if pas.Has(u) { // hash layout: probe per lane
+				for j := 0; j < L; j++ {
+					av := avB[j]
+					if av == 0 {
+						continue
+					}
+					cv := int(st.colors[vbase+j])
+					cu := int(st.colors[ubase+j])
+					if cu == cv {
+						continue
+					}
+					if pv := pas.Get(u, int32(cu), j); pv != 0 {
+						buf[int(comb.PairIndex(cv, cu))*L+j] += av * pv
+					}
+				}
+			}
+		}
+		return
+	}
+	k := st.e.k
+	colorAgg := sc.colorAgg[:k*L]
+	clear(colorAgg)
+	pas.GatherColors(adj, st.colors, colorAgg)
+	for c := 0; c < k; c++ {
+		cs := colorAgg[c*L : c*L+L]
+		for j, s := range cs {
+			if s == 0 {
 				continue
 			}
-			// Get returns 0 for absent rows on every layout, so no Has
-			// probe is needed (here and in the other single-vertex
-			// branches): zero contributions fall out of the != 0 check.
-			if pv := pas.Get(u, int32(cu)); pv != 0 {
-				buf[comb.PairIndex(cv, cu)] += av * pv
-				any = true
+			// Same-color neighbors fold into colorAgg[cv_j] but form no
+			// valid pair set, so they contribute nothing.
+			cv := int(st.colors[vbase+j])
+			if c == cv {
+				continue
+			}
+			if av := avB[j]; av != 0 {
+				buf[int(comb.PairIndex(cv, c))*L+j] += av * s
 			}
 		}
-		return any
 	}
-	colorAgg := sc.colorAgg
-	for i := range colorAgg {
-		colorAgg[i] = 0
-	}
-	table.GatherColorsInto(pas, adj, st.colors, colorAgg)
-	// Same-color neighbors were folded into colorAgg[cv] by the bulk
-	// gather; they contribute nothing (no valid pair set), so drop them.
-	colorAgg[cv] = 0
-	for c, s := range colorAgg {
-		if s != 0 {
-			buf[comb.PairIndex(cv, c)] += av * s
-			any = true
-		}
-	}
-	return any
 }
 
 // passActiveSingle handles aN == 1, h > 2: the active child is the root
-// alone, so only color sets containing color(v) contribute and the
-// passive part is C \ {color(v)} — the (k-1)/k work reduction of §III-D.
-// The aggregated variant sums whole passive rows first, then walks the
-// singleton entries once.
-func (st *iterState) passActiveSingle(ctx *nodeCtx, v int32, adj []int32, buf []float64, sc *scratch, aggregate bool) bool {
-	act, pas := ctx.act, ctx.pas
-	av := act.Get(v, int32(st.colors[v]))
-	if av == 0 {
-		return false
+// alone, so lane j touches only the singleton entries of color_j(v) and
+// the passive part is C \ {color_j(v)} — the (k-1)/k work reduction of
+// §III-D. The aggregated variant sums
+// whole lane-strided passive rows first, then walks each lane's entry
+// list once.
+func (st *batchState) passActiveSingle(ctx *nodeCtx, v int32, adj []int32, buf []float64, sc *scratch, aggregate bool) {
+	L := st.lanes
+	avB, any := st.laneActives(ctx, v, sc)
+	if !any {
+		return
 	}
-	entries := ctx.singles[int(st.colors[v])]
-	any := false
+	pas := ctx.pas
+	vbase := int(v) * L
 	if !aggregate {
 		for _, u := range adj {
-			// Row-first: a non-nil row needs no Has probe; only the Hash
-			// layout (Row always nil) still wants the cheap presence
-			// check before cell-wise Gets.
-			if prow := pas.Row(u); prow != nil {
-				for _, en := range entries {
-					if pv := prow[en.RestIdx]; pv != 0 {
-						buf[en.SetIdx] += av * pv
-						any = true
+			if prow := pas.LaneRow(u); prow != nil {
+				for j := 0; j < L; j++ {
+					av := avB[j]
+					if av == 0 {
+						continue
+					}
+					for _, en := range ctx.singles[int(st.colors[vbase+j])] {
+						buf[int(en.SetIdx)*L+j] += av * prow[int(en.RestIdx)*L+j]
 					}
 				}
-			} else if pas.Has(u) {
-				for _, en := range entries {
-					if pv := pas.Get(u, en.RestIdx); pv != 0 {
-						buf[en.SetIdx] += av * pv
-						any = true
+			} else if pas.Has(u) { // hash layout: probe per lane
+				for j := 0; j < L; j++ {
+					av := avB[j]
+					if av == 0 {
+						continue
+					}
+					for _, en := range ctx.singles[int(st.colors[vbase+j])] {
+						if pv := pas.Get(u, en.RestIdx, j); pv != 0 {
+							buf[int(en.SetIdx)*L+j] += av * pv
+						}
 					}
 				}
 			}
 		}
-		return any
+		return
 	}
-	agg := sc.agg[:ctx.ncP]
-	for i := range agg {
-		agg[i] = 0
-	}
-	table.AccumulateRowsInto(pas, adj, agg)
-	for _, en := range entries {
-		if s := agg[en.RestIdx]; s != 0 {
-			buf[en.SetIdx] += av * s
-			any = true
+	agg := sc.agg[:ctx.ncP*L]
+	clear(agg)
+	pas.AccumulateRows(adj, agg)
+	for j := 0; j < L; j++ {
+		av := avB[j]
+		if av == 0 {
+			continue
+		}
+		for _, en := range ctx.singles[int(st.colors[vbase+j])] {
+			buf[int(en.SetIdx)*L+j] += av * agg[int(en.RestIdx)*L+j]
 		}
 	}
-	return any
 }
 
 // passPassiveSingle handles pN == 1, h > 2: the passive child is a single
-// vertex, so for neighbor u only color sets containing color(u)
-// contribute, with the active part C \ {color(u)}. The aggregated variant
-// folds all neighbors into k per-color sums and walks the singleton
-// entries once per color instead of once per neighbor.
-func (st *iterState) passPassiveSingle(ctx *nodeCtx, v int32, adj []int32, buf []float64, sc *scratch, aggregate bool) bool {
-	act, pas := ctx.act, ctx.pas
-	arow := materializeRow(act, v, sc.actRow, ctx.ncA)
-	any := false
+// vertex, so for neighbor u lane j touches only the singleton entries of
+// color_j(u), with the active part C \ {color_j(u)}. The aggregated
+// variant folds neighbors into k·L per-(color, lane) sums and walks each
+// color's entry list once, with the lane sweep innermost on contiguous
+// blocks.
+func (st *batchState) passPassiveSingle(ctx *nodeCtx, v int32, adj []int32, buf []float64, sc *scratch, aggregate bool) {
+	L := st.lanes
+	arow := ctx.act.MaterializeRow(v, sc.actRow)
+	pas := ctx.pas
 	if !aggregate {
-		for _, u := range adj {
-			pv := pas.Get(u, int32(st.colors[u]))
-			if pv == 0 {
-				continue
+		if lf, ok := pas.(*leafLanes); ok {
+			// Implicit leaf passive child: pv is 1 at u's own lane color,
+			// so only that color's singleton entries contribute.
+			for _, u := range adj {
+				if !lf.ok(u) {
+					continue
+				}
+				ubase := int(u) * L
+				for j := 0; j < L; j++ {
+					cu := int(st.colors[ubase+j])
+					for _, en := range ctx.singles[cu] {
+						if av := arow[int(en.RestIdx)*L+j]; av != 0 {
+							buf[int(en.SetIdx)*L+j] += av // pv == 1
+						}
+					}
+				}
 			}
-			for _, en := range ctx.singles[int(st.colors[u])] {
-				if av := arow[en.RestIdx]; av != 0 {
-					buf[en.SetIdx] += av * pv
-					any = true
+			return
+		}
+		for _, u := range adj {
+			ubase := int(u) * L
+			if prow := pas.LaneRow(u); prow != nil {
+				for j := 0; j < L; j++ {
+					cu := int(st.colors[ubase+j])
+					pv := prow[cu*L+j]
+					if pv == 0 {
+						continue
+					}
+					for _, en := range ctx.singles[cu] {
+						if av := arow[int(en.RestIdx)*L+j]; av != 0 {
+							buf[int(en.SetIdx)*L+j] += av * pv
+						}
+					}
+				}
+			} else if pas.Has(u) { // hash layout: probe per lane
+				for j := 0; j < L; j++ {
+					cu := int(st.colors[ubase+j])
+					pv := pas.Get(u, int32(cu), j)
+					if pv == 0 {
+						continue
+					}
+					for _, en := range ctx.singles[cu] {
+						if av := arow[int(en.RestIdx)*L+j]; av != 0 {
+							buf[int(en.SetIdx)*L+j] += av * pv
+						}
+					}
 				}
 			}
 		}
-		return any
+		return
 	}
-	colorAgg := sc.colorAgg
-	for i := range colorAgg {
-		colorAgg[i] = 0
-	}
-	table.GatherColorsInto(pas, adj, st.colors, colorAgg)
-	for c, s := range colorAgg {
-		if s == 0 {
+	k := st.e.k
+	colorAgg := sc.colorAgg[:k*L]
+	clear(colorAgg)
+	pas.GatherColors(adj, st.colors, colorAgg)
+	for c := 0; c < k; c++ {
+		cs := colorAgg[c*L : c*L+L]
+		nonzero := false
+		for _, s := range cs {
+			if s != 0 {
+				nonzero = true
+				break
+			}
+		}
+		if !nonzero {
 			continue
 		}
 		for _, en := range ctx.singles[c] {
-			if av := arow[en.RestIdx]; av != 0 {
-				buf[en.SetIdx] += av * s
-				any = true
-			}
+			laneMulAdd(buf[int(en.SetIdx)*L:][:L], arow[int(en.RestIdx)*L:], cs)
 		}
 	}
-	return any
 }
 
-// passGeneralDirect is Algorithm 2 lines 9-12 as in the seed: for every
-// neighbor u and every color set C, sum products over all (Ca, Cp)
-// splits.
-func (st *iterState) passGeneralDirect(ctx *nodeCtx, v int32, adj []int32, buf []float64, sc *scratch) bool {
-	act, pas := ctx.act, ctx.pas
-	arow := materializeRow(act, v, sc.actRow, ctx.ncA)
+// passGeneralDirect is Algorithm 2 lines 9-12: for every neighbor u,
+// every color set C, and every (Ca, Cp) split, run the multiply-add
+// across all lanes of the contiguous lane blocks.
+func (st *batchState) passGeneralDirect(ctx *nodeCtx, v int32, adj []int32, buf []float64, sc *scratch) {
+	L := st.lanes
+	arow := ctx.act.MaterializeRow(v, sc.actRow)
+	pas := ctx.pas
 	split, spn, nc := ctx.split, ctx.spn, ctx.nc
-	any := false
 	for _, u := range adj {
-		prow := pas.Row(u)
+		prow := pas.LaneRow(u)
 		if prow == nil {
 			if !pas.Has(u) {
 				continue
 			}
-			prow = materializeRow(pas, u, sc.pasRow, ctx.ncP)
+			prow = pas.MaterializeRow(u, sc.pasRow)
 		}
 		for ci := 0; ci < nc; ci++ {
+			out := buf[ci*L : ci*L+L]
 			base := ci * spn
-			var s float64
 			for j := base; j < base+spn; j++ {
-				if av := arow[split.ActiveIdx[j]]; av != 0 {
-					s += av * prow[split.PassiveIdx[j]]
-				}
-			}
-			if s != 0 {
-				buf[ci] += s
-				any = true
+				laneMulAdd(out, arow[int(split.ActiveIdx[j])*L:], prow[int(split.PassiveIdx[j])*L:])
 			}
 		}
 	}
-	return any
 }
 
 // passGeneralAggregate is the SpMM-style restructure of the general
-// split: one neighbor-aggregation sweep building agg[Cp] on sequential
-// memory, then a single split contraction against the active row.
-func (st *iterState) passGeneralAggregate(ctx *nodeCtx, v int32, adj []int32, buf []float64, sc *scratch) bool {
-	act, pas := ctx.act, ctx.pas
-	agg := sc.agg[:ctx.ncP]
-	for i := range agg {
-		agg[i] = 0
-	}
-	table.AccumulateRowsInto(pas, adj, agg)
-	arow := materializeRow(act, v, sc.actRow, ctx.ncA)
+// split: one neighbor-aggregation sweep builds the lane-strided agg[Cp]
+// rows on sequential memory, then a single split contraction runs
+// against the active lane row.
+func (st *batchState) passGeneralAggregate(ctx *nodeCtx, v int32, adj []int32, buf []float64, sc *scratch) {
+	L := st.lanes
+	agg := sc.agg[:ctx.ncP*L]
+	clear(agg)
+	ctx.pas.AccumulateRows(adj, agg)
+	arow := ctx.act.MaterializeRow(v, sc.actRow)
 	split, spn, nc := ctx.split, ctx.spn, ctx.nc
-	any := false
 	for ci := 0; ci < nc; ci++ {
+		out := buf[ci*L : ci*L+L]
 		base := ci * spn
-		var s float64
 		for j := base; j < base+spn; j++ {
-			if av := arow[split.ActiveIdx[j]]; av != 0 {
-				s += av * agg[split.PassiveIdx[j]]
-			}
-		}
-		if s != 0 {
-			buf[ci] += s
-			any = true
+			laneMulAdd(out, arow[int(split.ActiveIdx[j])*L:], agg[int(split.PassiveIdx[j])*L:])
 		}
 	}
-	return any
 }

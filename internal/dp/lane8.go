@@ -1,6 +1,6 @@
 package dp
 
-// laneMulAdd is the batched kernels' innermost contraction step:
+// laneMulAdd is the lane kernels' innermost contraction step:
 // out[l] += a[l] · p[l] over min(len(out), len(a), len(p)) lanes.
 // Like table's bulk8.go it is written in the 8-wide slice-to-array-
 // pointer form so the loop body carries no per-element bounds checks

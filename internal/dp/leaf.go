@@ -5,19 +5,18 @@ import (
 	"repro/internal/table"
 )
 
-// laneTab is the read surface the batched kernels consume: either a real
-// lane-strided table (*table.Multi) or the implicit lane table of a leaf
-// (*leafLanes). Internal nodes always materialize; leaves in batched
-// mode do not — their cell values are a pure function of the coloring.
+// laneTab is the read surface the lane kernels (and embedding sampling,
+// at lane 0) consume: either a real lane-strided table (*table.Multi) or
+// the implicit lane table of a leaf (*leafLanes). Internal nodes always
+// materialize; non-root leaves do not — their cell values are a pure
+// function of the coloring.
 type laneTab interface {
 	Has(v int32) bool
 	LaneRow(v int32) []float64
 	Get(v, ci int32, lane int) float64
 	MaterializeRow(v int32, dst []float64) []float64
 	AccumulateRows(vs []int32, dst []float64)
-	AccumulateRowsRange(vs []int32, dst []float64, lo, hi int)
 	GatherColors(vs []int32, colors []int8, dst []float64)
-	GatherColorsRange(vs []int32, colors []int8, dst []float64, lo, hi int)
 }
 
 var (
@@ -25,15 +24,14 @@ var (
 	_ laneTab = (*leafLanes)(nil)
 )
 
-// leafLanes is the implicit lane table of a single-vertex subtemplate in
-// batched mode: lane j of vertex v holds count 1 for the singleton color
-// set {color_j(v)} (label-gated) and 0 everywhere else — exactly what
-// initLeafB used to materialize. Deriving the cells from the coloring on
-// the fly removes the B×-widened leaf tables entirely: no leaf
-// allocation, no leaf-init sweep, and the hot laneActives/gather reads
-// touch the 1-byte-per-lane color vector instead of 8-byte table cells.
-// The scalar (unbatched) path keeps materialized leaves: KeepTables
-// sampling and VertexCounts read them, and at one lane they are small.
+// leafLanes is the implicit lane table of a single-vertex subtemplate:
+// lane j of vertex v holds count 1 for the singleton color set
+// {color_j(v)} (label-gated) and 0 everywhere else — exactly what
+// initLeaf materializes for a root leaf. Deriving the cells from the
+// coloring on the fly removes the leaf tables entirely at every lane
+// count: no leaf allocation, no leaf-init sweep, and the hot
+// laneActives/gather reads touch the 1-byte-per-lane color vector
+// instead of 8-byte table cells.
 type leafLanes struct {
 	colors []int8
 	lanes  int
@@ -45,7 +43,7 @@ type leafLanes struct {
 }
 
 // newLeafLanes builds the implicit lane table of leaf n over this
-// batch's coloring.
+// traversal's coloring.
 func (st *batchState) newLeafLanes(n *part.Node) *leafLanes {
 	e := st.e
 	lf := &leafLanes{colors: st.colors, lanes: st.lanes, width: e.k * st.lanes}
@@ -108,24 +106,6 @@ func (lf *leafLanes) AccumulateRows(vs []int32, dst []float64) {
 	}
 }
 
-// AccumulateRowsRange implements laneTab: lanes whose color falls
-// outside the per-lane column range [lo, hi) are skipped.
-func (lf *leafLanes) AccumulateRowsRange(vs []int32, dst []float64, lo, hi int) {
-	L := lf.lanes
-	for _, u := range vs {
-		if !lf.ok(u) {
-			continue
-		}
-		base := int(u) * L
-		for j := 0; j < L; j++ {
-			c := int(lf.colors[base+j])
-			if c >= lo && c < hi {
-				dst[c*L+j]++
-			}
-		}
-	}
-}
-
 // GatherColors implements laneTab: the gathered cell (u, colors[u·L+j])
 // is the leaf's own nonzero cell exactly when the requested color equals
 // u's color in that lane, so the fold is a per-(color, lane) neighbor
@@ -140,24 +120,6 @@ func (lf *leafLanes) GatherColors(vs []int32, colors []int8, dst []float64) {
 		for j := 0; j < L; j++ {
 			if c := colors[base+j]; c == lf.colors[base+j] {
 				dst[int(c)*L+j]++
-			}
-		}
-	}
-}
-
-// GatherColorsRange implements laneTab: GatherColors restricted to
-// colors in [lo, hi).
-func (lf *leafLanes) GatherColorsRange(vs []int32, colors []int8, dst []float64, lo, hi int) {
-	L := lf.lanes
-	for _, u := range vs {
-		if !lf.ok(u) {
-			continue
-		}
-		base := int(u) * L
-		for j := 0; j < L; j++ {
-			c := int(colors[base+j])
-			if c >= lo && c < hi && int8(c) == lf.colors[base+j] {
-				dst[c*L+j]++
 			}
 		}
 	}

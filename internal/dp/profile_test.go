@@ -31,8 +31,8 @@ func TestComputeShareEdgeCases(t *testing.T) {
 }
 
 // TestProfileMatchesBatchedRun checks that ProfileIteration's estimate —
-// computed by the scalar path — equals the corresponding lane of a
-// batched run, tying the profiling hook into the bit-identity contract.
+// computed on one lane — equals the corresponding lane of a batched run,
+// tying the profiling hook into the bit-identity contract.
 func TestProfileMatchesBatchedRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	g := randomGraph(rng, 300, 1200)

@@ -8,8 +8,8 @@ type ReorderMode int
 
 const (
 	// ReorderAuto applies the relabeling on large degree-skewed graphs,
-	// where it helps most: the tiled pass's hot gathered rows (hubs)
-	// pack contiguously instead of scattering across the table.
+	// where it helps most: the pass's hot gathered rows (hubs) pack
+	// contiguously instead of scattering across the table.
 	ReorderAuto ReorderMode = iota
 	// ReorderOn always applies the relabeling.
 	ReorderOn

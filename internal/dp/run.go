@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 	"time"
 )
 
@@ -15,8 +14,10 @@ type Result struct {
 	// the approximate number of non-induced occurrences of the template.
 	Estimate float64
 	// PerIteration holds each iteration's individual estimate. For a
-	// cancelled run it holds only the iterations that completed, in seed
-	// order.
+	// cancelled run it holds the longest seed-order prefix of completed
+	// iterations (every parallel mode stops at the first iteration that
+	// did not finish), so a partial stream is always a prefix of the
+	// full one.
 	PerIteration []float64
 	// StdErr is the standard error of the mean across iterations (0 for
 	// a single iteration).
@@ -41,161 +42,88 @@ func (e *Engine) Run(iters int) (Result, error) {
 }
 
 // RunContext is Run with cooperative cancellation: the context is polled
-// at iteration boundaries and inside every DP pass at vertex granularity,
+// at batch boundaries and inside every DP pass at vertex granularity,
 // so all three parallel modes abort promptly (typically well under a
 // millisecond of DP work after cancellation). On cancellation it returns
-// the partial result — the mean over the iterations that completed, with
-// Stats.Cancelled set — alongside ctx.Err().
+// the partial result — the mean over the completed seed-order prefix,
+// with Stats.Cancelled set — alongside ctx.Err().
 func (e *Engine) RunContext(ctx context.Context, iters int) (Result, error) {
 	if iters < 1 {
 		return Result{}, fmt.Errorf("dp: iterations must be >= 1, got %d", iters)
 	}
-	start := time.Now()
-	mode := e.mode()
+	m := e.startMeter()
 	stop, release := watchContext(ctx)
 	defer release()
-	kd0, ka0 := e.KernelStats()
-	ah0, am0 := e.arena.Stats()
-
-	estimates := make([]float64, iters)
-	iterTimes := make([]time.Duration, iters)
-	completed := make([]bool, iters)
+	res := Result{ModeUsed: e.mode()}
 	stats := e.newRunStats()
 	stats.BatchSize = e.batch
-	res := Result{ModeUsed: mode}
+	res.PerIteration, stats.IterTimes = e.runBatches(ctx, res.ModeUsed, iters, stop, m.start, &stats)
+	return res, e.finish(ctx, m, &res, stats, nil)
+}
 
-	// runIter executes one full iteration and returns its state; the
-	// caller folds the result in under its own synchronization.
-	runIter := func(i, innerW int) (*iterState, time.Duration) {
-		st := e.newIterState(rand.New(rand.NewSource(e.cfg.Seed+int64(i))), innerW)
-		st.stop = stop
-		if e.tree != nil {
-			st.nodeTimes = make([]time.Duration, len(e.tree.Order))
-		}
-		t0 := time.Now()
-		st.total = st.run()
-		return st, time.Since(t0)
-	}
+// runMeter snapshots the engine's cumulative counters when a run
+// starts, so finish can report the run's own deltas.
+type runMeter struct {
+	start          time.Time
+	kd, ka, ah, am int64
+}
 
-	switch {
-	case e.batch > 1:
-		// Batched execution: one DP traversal per lane batch; seeds and
-		// per-iteration estimates are identical to the unbatched schedule.
-		e.runBatches(ctx, mode, iters, stop, start, estimates, iterTimes, completed, &stats, &res)
-	case mode == Outer || mode == Hybrid:
-		// Whole iterations run concurrently, each with private tables
-		// (memory grows with concurrent iterations, as the paper notes).
-		// Hybrid additionally gives each concurrent iteration a share of
-		// inner-loop workers - the combination the paper leaves as
-		// future work.
-		workers := e.workers()
-		if workers > iters {
-			workers = iters
-		}
-		innerWs := make([]int, workers)
-		for w := range innerWs {
-			innerWs[w] = 1
-		}
-		if mode == Hybrid {
-			workers, innerWs = hybridSplit(e.workers(), iters)
-		}
-		var wg sync.WaitGroup
-		var mu sync.Mutex
-		next := make(chan int, iters)
-		for i := 0; i < iters; i++ {
-			next <- i
-		}
-		close(next)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := range next {
-					if stopRequested(ctx, stop) {
-						continue // drain remaining iteration slots
-					}
-					st, d := runIter(i, innerWs[w])
-					mu.Lock()
-					stats.mergeIter(st)
-					if st.peakBytes > res.PeakTableBytes {
-						res.PeakTableBytes = st.peakBytes
-					}
-					if !st.aborted {
-						estimates[i] = e.scale(st.total)
-						iterTimes[i] = d
-						completed[i] = true
-						if e.cfg.OnIteration != nil {
-							e.cfg.OnIteration(i, estimates[i], time.Since(start))
-						}
-					}
-					mu.Unlock()
-				}
-			}(w)
-		}
-		wg.Wait()
-	default: // Inner
-		for i := 0; i < iters; i++ {
-			if stopRequested(ctx, stop) {
-				break
-			}
-			st, d := runIter(i, e.workers())
-			stats.mergeIter(st)
-			if st.peakBytes > res.PeakTableBytes {
-				res.PeakTableBytes = st.peakBytes
-			}
-			if st.aborted {
-				break
-			}
-			estimates[i] = e.scale(st.total)
-			iterTimes[i] = d
-			completed[i] = true
-			if e.cfg.OnIteration != nil {
-				e.cfg.OnIteration(i, estimates[i], time.Since(start))
-			}
-		}
-	}
+func (e *Engine) startMeter() runMeter {
+	m := runMeter{start: time.Now()}
+	m.kd, m.ka = e.KernelStats()
+	m.ah, m.am = e.ArenaStats()
+	return m
+}
 
-	// Compact to completed iterations (all of them when not cancelled).
-	for i := 0; i < iters; i++ {
-		if completed[i] {
-			res.PerIteration = append(res.PerIteration, estimates[i])
-			stats.IterTimes = append(stats.IterTimes, iterTimes[i])
-		}
-	}
-	n := len(res.PerIteration)
-	stats.Iterations = n
-	if n > 0 {
-		var sum float64
-		for _, x := range res.PerIteration {
-			sum += x
-		}
-		res.Estimate = sum / float64(n)
-	}
-	if n > 1 {
-		var ss float64
-		for _, x := range res.PerIteration {
-			d := x - res.Estimate
-			ss += d * d
-		}
-		res.StdErr = math.Sqrt(ss / float64(n-1) / float64(n))
-	}
-	kd1, ka1 := e.KernelStats()
-	stats.KernelDirect = kd1 - kd0
-	stats.KernelAggregate = ka1 - ka0
-	ah1, am1 := e.arena.Stats()
-	stats.ArenaHits, stats.ArenaMisses = ah1-ah0, am1-am0
-	stats.PeakTableBytes = res.PeakTableBytes
-	spillSlabs, spillBytes := e.arena.SpillStats()
+// finish completes a run whose fresh estimates follow prior in the seed
+// stream: Estimate and StdErr cover prior and fresh together, and Stats
+// reports the run's counter deltas. It returns ctx.Err(), marking the
+// stats cancelled when set.
+func (e *Engine) finish(ctx context.Context, m runMeter, res *Result, stats RunStats, prior []float64) error {
+	res.Estimate, res.StdErr = summarize(prior, res.PerIteration)
+	stats.Iterations = len(res.PerIteration)
+	kd, ka := e.KernelStats()
+	stats.KernelDirect, stats.KernelAggregate = kd-m.kd, ka-m.ka
+	ah, am := e.ArenaStats()
+	stats.ArenaHits, stats.ArenaMisses = ah-m.ah, am-m.am
+	res.PeakTableBytes = stats.PeakTableBytes
+	spillSlabs, spillBytes := e.spillStats()
 	stats.SpillSlabs, stats.SpillMappedBytes = int64(spillSlabs), spillBytes
 	stats.sampleRSS()
-	res.Elapsed = time.Since(start)
-	if err := ctx.Err(); err != nil {
-		stats.Cancelled = true
-		res.Stats = stats
-		return res, err
-	}
+	res.Elapsed = time.Since(m.start)
+	err := ctx.Err()
+	stats.Cancelled = err != nil
 	res.Stats = stats
-	return res, nil
+	return err
+}
+
+// summarize returns the mean and the standard error of the mean of
+// prior followed by fresh, with the two-pass formula every run shares:
+// an adaptive run's Estimate/StdErr must be bit-identical to a fixed
+// run of the same length (the cache serves them interchangeably).
+func summarize(prior, fresh []float64) (mean, stdErr float64) {
+	n := len(prior) + len(fresh)
+	if n == 0 {
+		return 0, 0
+	}
+	var sum float64
+	for _, xs := range [2][]float64{prior, fresh} {
+		for _, x := range xs {
+			sum += x
+		}
+	}
+	mean = sum / float64(n)
+	if n > 1 {
+		var ss float64
+		for _, xs := range [2][]float64{prior, fresh} {
+			for _, x := range xs {
+				d := x - mean
+				ss += d * d
+			}
+		}
+		stdErr = math.Sqrt(ss / float64(n-1) / float64(n))
+	}
+	return mean, stdErr
 }
 
 // hybridSplit divides a worker budget between concurrent iterations
@@ -244,8 +172,9 @@ func (e *Engine) scale(total float64) float64 {
 // correctness tests use to compare against brute-force colorful
 // enumeration under a deterministic coloring.
 func (e *Engine) ColorfulTotal(seed int64) float64 {
-	st := e.newIterState(rand.New(rand.NewSource(seed)), e.workers())
-	return st.run()
+	st := e.newBatchState(e.arena, seed, 1, e.workers())
+	st.run()
+	return st.totals[0]
 }
 
 // ColoringFor reproduces the vertex coloring used by iteration seed, for
@@ -269,16 +198,13 @@ func (e *Engine) ColoringFor(seed int64) []int8 {
 func (e *Engine) Reseed(seed int64) { e.cfg.Seed = seed }
 
 // ReleaseKept drops tables retained by a KeepTables run, returning their
-// storage (and the kept color vector) to the engine arena before a
-// re-run replaces them.
+// storage (and the kept color vector) to the arena they came from before
+// a re-run replaces them.
 func (e *Engine) ReleaseKept() {
-	//lint:maporder ok — release-only loop: table teardown order cannot affect any estimate
-	for _, tab := range e.kept {
-		tab.Release()
+	if e.kept != nil {
+		e.kept.release()
+		e.kept = nil
 	}
-	e.kept = nil
-	e.arena.PutI8(e.keptColors)
-	e.keptColors = nil
 }
 
 // VertexCounts estimates, for every graph vertex v, the number of
@@ -314,7 +240,7 @@ func (e *Engine) VertexCountsContext(ctx context.Context, iters int) ([]float64,
 		if stopRequested(ctx, stop) {
 			break
 		}
-		st := e.newIterState(rand.New(rand.NewSource(e.cfg.Seed+int64(i))), e.workers())
+		st := e.newBatchState(e.arena, e.cfg.Seed+int64(i), 1, e.workers())
 		st.stop = stop
 		st.keep = true // retain the root table for reading
 		st.run()
@@ -335,13 +261,7 @@ func (e *Engine) VertexCountsContext(ctx context.Context, iters int) ([]float64,
 				acc[e.origID(v)] += root.SumRow(v) * scale
 			}
 		}
-		//lint:maporder ok — release-only loop: table teardown order cannot affect any estimate
-		for _, tab := range st.tabs {
-			tab.Release()
-		}
-		e.kept = nil
-		e.arena.PutI8(e.keptColors)
-		e.keptColors = nil
+		st.release()
 		done++
 	}
 	if err := ctx.Err(); err != nil {
@@ -379,13 +299,14 @@ func (e *Engine) RunConvergedContext(ctx context.Context, relStdErr float64, min
 
 // RunConvergedPriorContext is RunConvergedContext seeded with prior
 // per-iteration estimates computed elsewhere (a result cache, an
-// earlier shard wave): the Welford accumulator starts from prior and
-// the min/max iteration bounds count prior toward the totals, so the
-// run only spends the residual iterations the target still needs.
-// Fresh iterations color with this engine's Seed+i from i = 0 —
-// callers offset Config.Seed by len(prior) to keep the global seed
-// schedule contiguous. PerIteration holds only the fresh estimates;
-// Estimate and StdErr cover prior and fresh together.
+// earlier shard wave): StopIndex's rule scans prior followed by the
+// fresh estimates, and the min/max iteration bounds count prior toward
+// the totals, so the run only spends the residual iterations the target
+// still needs (none when a prefix of prior already meets it). Fresh
+// iterations color with this engine's Seed+i from i = 0 — callers
+// offset Config.Seed by len(prior) to keep the global seed schedule
+// contiguous. PerIteration holds only the fresh estimates; Estimate and
+// StdErr cover prior and fresh together.
 func (e *Engine) RunConvergedPriorContext(ctx context.Context, relStdErr float64, minIters, maxIters int, prior []float64) (Result, error) {
 	if relStdErr <= 0 {
 		return Result{}, fmt.Errorf("dp: relStdErr must be positive, got %v", relStdErr)
@@ -396,109 +317,87 @@ func (e *Engine) RunConvergedPriorContext(ctx context.Context, relStdErr float64
 	if maxIters < minIters {
 		return Result{}, fmt.Errorf("dp: maxIters %d < minIters %d", maxIters, minIters)
 	}
-	start := time.Now()
+	m := e.startMeter()
 	stop, release := watchContext(ctx)
 	defer release()
-	kd0, ka0 := e.KernelStats()
 	workers := 1
 	if e.mode() == Inner {
 		workers = e.workers()
 	}
-	ah0, am0 := e.arena.Stats()
-	stats := e.newRunStats()
-	// Convergence checks are per iteration, so adaptive runs stay
-	// unbatched regardless of Config.Batch.
-	stats.BatchSize = 1
 	res := Result{ModeUsed: e.mode()}
-	var mean, m2 float64
-	for j, est := range prior {
-		n := float64(j + 1)
-		delta := est - mean
-		mean += delta / n
-		m2 += delta * (est - mean)
+	stats := e.newRunStats()
+	// The stop rule is checked after every iteration, so adaptive runs
+	// traverse one lane at a time regardless of Config.Batch.
+	stats.BatchSize = 1
+	// StopIndex's rule, fed incrementally: prior first, then one fresh
+	// estimate per iteration.
+	rule := newStopRule(relStdErr, minIters)
+	converged := false
+	for _, est := range prior {
+		converged = rule.add(est) || converged
 	}
-	converged := func() bool {
-		n := float64(len(prior) + len(res.PerIteration))
-		if n < float64(minIters) || n < 2 || mean == 0 {
-			return false
-		}
-		return math.Sqrt(m2/(n-1)/n)/math.Abs(mean) <= relStdErr
-	}
-	for i := 0; len(prior)+i < maxIters && !converged(); i++ {
+	for i := 0; !converged && len(prior)+i < maxIters; i++ {
 		if stopRequested(ctx, stop) {
 			break
 		}
-		st := e.newIterState(rand.New(rand.NewSource(e.cfg.Seed+int64(i))), workers)
-		st.stop = stop
-		if e.tree != nil {
-			st.nodeTimes = make([]time.Duration, len(e.tree.Order))
-		}
-		t0 := time.Now()
-		total := st.run()
-		d := time.Since(t0)
-		stats.mergeIter(st)
-		if st.peakBytes > res.PeakTableBytes {
-			res.PeakTableBytes = st.peakBytes
-		}
+		st, d := e.runLanes(e.arena, e.cfg.Seed+int64(i), 1, workers, stop)
+		stats.mergeBatch(st)
 		if st.aborted {
 			break
 		}
-		est := e.scale(total)
+		e.retain(st)
+		est := e.scale(st.totals[0])
 		res.PerIteration = append(res.PerIteration, est)
 		stats.IterTimes = append(stats.IterTimes, d)
-		// Welford's online mean/variance update.
-		n := float64(len(prior) + len(res.PerIteration))
-		delta := est - mean
-		mean += delta / n
-		m2 += delta * (est - mean)
+		converged = rule.add(est)
 		if e.cfg.OnIteration != nil {
-			e.cfg.OnIteration(i, est, time.Since(start))
+			e.cfg.OnIteration(i, est, time.Since(m.start))
 		}
 	}
-	// The Welford accumulator above decides WHEN to stop (mirroring
-	// shard.StopIndex exactly, so stop indices agree across tiers), but
-	// the reported summary is recomputed with the fixed path's two-pass
-	// formula over prior+fresh: the two disagree in the last ulp, and an
-	// adaptive run's Estimate/StdErr must be bit-identical to a fixed
-	// run of the same length (the cache serves them interchangeably).
-	if n := len(prior) + len(res.PerIteration); n > 0 {
-		var sum float64
-		for _, x := range prior {
-			sum += x
-		}
-		for _, x := range res.PerIteration {
-			sum += x
-		}
-		res.Estimate = sum / float64(n)
-		if n > 1 {
-			var ss float64
-			for _, x := range prior {
-				d := x - res.Estimate
-				ss += d * d
-			}
-			for _, x := range res.PerIteration {
-				d := x - res.Estimate
-				ss += d * d
-			}
-			res.StdErr = math.Sqrt(ss / float64(n-1) / float64(n))
+	return res, e.finish(ctx, m, &res, stats, prior)
+}
+
+// StopIndex returns the length of the shortest prefix of ests at which
+// an adaptive run targeting relStdErr stops — the first
+// n >= max(minIters, 2) whose relative standard error of the mean
+// (Welford's online mean and variance) is at or below the target — or
+// -1 if no prefix converges. It is the one stop rule of every tier: the
+// engine's converged runs (which feed the same stopRule one estimate at
+// a time), the serve cache and the shard pool, so each can truncate an
+// over-complete estimate stream to the bit-identical adaptive prefix.
+func StopIndex(ests []float64, relStdErr float64, minIters int) int {
+	if relStdErr <= 0 {
+		return -1
+	}
+	r := newStopRule(relStdErr, minIters)
+	for i, est := range ests {
+		if r.add(est) {
+			return i + 1
 		}
 	}
-	stats.Iterations = len(res.PerIteration)
-	kd1, ka1 := e.KernelStats()
-	stats.KernelDirect = kd1 - kd0
-	stats.KernelAggregate = ka1 - ka0
-	ah1, am1 := e.arena.Stats()
-	stats.ArenaHits, stats.ArenaMisses = ah1-ah0, am1-am0
-	stats.PeakTableBytes = res.PeakTableBytes
-	spillSlabs, spillBytes := e.arena.SpillStats()
-	stats.SpillSlabs, stats.SpillMappedBytes = int64(spillSlabs), spillBytes
-	stats.sampleRSS()
-	res.Elapsed = time.Since(start)
-	if err := ctx.Err(); err != nil {
-		stats.Cancelled = true
-		res.Stats = stats
-		return res, err
-	}
-	res.Stats = stats
-	return res, nil
+	return -1
+}
+
+// stopRule is StopIndex's scan state over the stream seen so far.
+type stopRule struct {
+	relStdErr float64
+	minIters  int
+	n         int
+	mean, m2  float64
+}
+
+func newStopRule(relStdErr float64, minIters int) stopRule {
+	return stopRule{relStdErr: relStdErr, minIters: max(minIters, 2)}
+}
+
+// add folds the next estimate into the running mean and variance and
+// reports whether the stream so far meets the target.
+func (r *stopRule) add(est float64) bool {
+	r.n++
+	n := float64(r.n)
+	delta := est - r.mean
+	r.mean += delta / n
+	r.m2 += delta * (est - r.mean)
+	return r.n >= r.minIters && r.mean != 0 &&
+		math.Sqrt(r.m2/(n-1)/n)/math.Abs(r.mean) <= r.relStdErr
 }

@@ -15,7 +15,9 @@ type Embedding struct {
 
 // SampleEmbeddings draws count colorful embeddings uniformly at random
 // (over colorful rooted mappings) by backtracking through the dynamic
-// tables of the most recent run — FASCIA's enumeration capability. The
+// tables of the most recent run — FASCIA's enumeration capability. It
+// reads the kept one-lane tables through the lane read surface at lane
+// 0, implicit leaves included. The
 // engine must have been configured with KeepTables and have completed at
 // least one run; the samples come from that run's coloring. It returns an
 // error when the last run found no colorful embeddings.
@@ -24,7 +26,7 @@ func (e *Engine) SampleEmbeddings(rng *rand.Rand, count int) ([]Embedding, error
 		return nil, fmt.Errorf("dp: SampleEmbeddings requires KeepTables and a completed run")
 	}
 	root := e.tree.Root
-	rootTab := e.kept[root]
+	rootTab := e.kept.tabs[root]
 	n := int32(e.g.N())
 
 	// Cache per-vertex totals of the root table for fast weighted choice.
@@ -61,7 +63,7 @@ func (e *Engine) SampleEmbeddings(rng *rand.Rand, count int) ([]Embedding, error
 		target = rng.Float64() * sums[v]
 		ci := int32(-1)
 		for cand := int32(0); cand < int32(nc); cand++ {
-			w := rootTab.Get(v, cand)
+			w := rootTab.Get(v, cand, 0)
 			if w <= 0 {
 				continue
 			}
@@ -88,12 +90,12 @@ func (e *Engine) assign(rng *rand.Rand, n *part.Node, v int32, ci int32, m []int
 		m[n.LeafVertex()] = v
 		return nil
 	}
-	act, pas := e.kept[n.Active], e.kept[n.Passive]
+	act, pas := e.kept.laneTabFor(n.Active), e.kept.laneTabFor(n.Passive)
 	split := e.splits[[2]int{n.Size(), n.Active.Size()}]
 	spn := split.SplitsPerSet
 	base := int(ci) * spn
 
-	want := e.kept[n].Get(v, ci)
+	want := e.kept.tabs[n].Get(v, ci, 0)
 	if want <= 0 {
 		return fmt.Errorf("dp: inconsistent tables during sampling (cell %d/%d empty)", v, ci)
 	}
@@ -105,11 +107,11 @@ func (e *Engine) assign(rng *rand.Rand, n *part.Node, v int32, ci int32, m []int
 			continue
 		}
 		for j := base; j < base+spn; j++ {
-			av := act.Get(v, split.ActiveIdx[j])
+			av := act.Get(v, split.ActiveIdx[j], 0)
 			if av == 0 {
 				continue
 			}
-			pv := pas.Get(u, split.PassiveIdx[j])
+			pv := pas.Get(u, split.PassiveIdx[j], 0)
 			if pv == 0 {
 				continue
 			}

@@ -36,7 +36,7 @@ func TestSamplingUniformity(t *testing.T) {
 			break
 		}
 	}
-	colors := e.keptColors
+	colors := e.kept.colors
 
 	// Enumerate the colorful mappings under this exact coloring. A
 	// sampled mapping fixes a root assignment, so the sample space is

@@ -8,9 +8,10 @@ import (
 
 // NodeStat records the accumulated wall time spent computing one
 // partition-tree node across all iterations of a run, in evaluation
-// order. Leaf nodes measure leaf-table initialization; internal nodes
-// measure the DP combination pass (the paper's "step 12", the dominant
-// cost per §V-A).
+// order. Internal nodes measure the DP combination pass (the paper's
+// "step 12", the dominant cost per §V-A); leaves derive their cells from
+// the coloring and build no table (only a root leaf materializes), so
+// they read about zero.
 type NodeStat struct {
 	// Index is the node's position in the tree's evaluation order.
 	Index int
@@ -29,7 +30,8 @@ type NodeStat struct {
 // and friends: where the time went (per node, per iteration), which
 // kernels the cost model chose, and how much table storage moved.
 type RunStats struct {
-	// Layout names the table layout used ("lazy", "naive", "hash").
+	// Layout names the table layout used ("lazy", "naive", "hash",
+	// "succinct").
 	Layout string
 	// Iterations is the number of iterations that ran to completion
 	// (cancelled iterations are excluded).
@@ -42,7 +44,9 @@ type RunStats struct {
 	Nodes []NodeStat
 	// KernelDirect and KernelAggregate count internal-node vertex passes
 	// executed by each DP kernel during this run (the cost-model
-	// decisions; forced modes land everything on one counter).
+	// decisions; forced modes land everything on one counter), in lane
+	// units: a pass over one vertex for L lanes counts L, so the figures
+	// read the same at every batch width.
 	KernelDirect    int64
 	KernelAggregate int64
 	// RowsAllocated and RowsReleased count materialized table rows over
@@ -55,14 +59,14 @@ type RunStats struct {
 	TablesAllocated int64
 	TablesReleased  int64
 	// PeakTableBytes mirrors Result.PeakTableBytes: the largest live
-	// table footprint of any single iteration.
+	// table footprint of any single traversal (one batch of lanes).
 	PeakTableBytes int64
-	// BatchSize is the resolved lane count of the batched execution mode
-	// (1 = classic unbatched scheduling).
+	// BatchSize is the resolved lane count of the run's traversals (1 =
+	// one coloring per traversal).
 	BatchSize int
-	// BatchesRun counts lane batches that ran to completion —
-	// ceil(Iterations/BatchSize) for an uncancelled batched run, 0 when
-	// unbatched.
+	// BatchesRun counts multi-lane batches that ran to completion —
+	// ceil(Iterations/BatchSize) for an uncancelled run with BatchSize >
+	// 1, and 0 when BatchSize is 1.
 	BatchesRun int64
 	// ArenaHits and ArenaMisses count table-arena slab requests served
 	// from the engine's cross-iteration free lists vs fresh allocations
@@ -70,15 +74,12 @@ type RunStats struct {
 	// state is all hits.
 	ArenaHits   int64
 	ArenaMisses int64
-	// TiledPasses counts internal-node passes that ran the column-tiled
-	// execution path (passive table over the LLC budget), and TileSweeps
-	// the total tiles swept across them — TileSweeps/TiledPasses is the
-	// mean tiling factor.
+	// TiledPasses and TileSweeps are always 0.
+	//
+	// Deprecated: the column-tiled execution path was removed; the fields
+	// remain so existing readers keep compiling.
 	TiledPasses int64
 	TileSweeps  int64
-	// LLCBudgetBytes is the resolved cache budget the tiling decisions
-	// used (0 = tiling disabled).
-	LLCBudgetBytes int64
 	// MemBudgetBytes is the resolved peak-memory budget the spill and
 	// batch-sizing decisions used (0 = unlimited, spilling off).
 	MemBudgetBytes int64
@@ -121,7 +122,6 @@ func (s RunStats) NodeTimeTotal() time.Duration {
 func (e *Engine) newRunStats() RunStats {
 	st := RunStats{
 		Layout:         e.cfg.TableKind.String(),
-		LLCBudgetBytes: e.llcBytes,
 		MemBudgetBytes: e.memBytes,
 		ReorderApplied: e.ord != nil,
 	}
@@ -134,21 +134,6 @@ func (e *Engine) newRunStats() RunStats {
 	return st
 }
 
-// mergeIter folds one iteration's iterState accounting into the stats.
-// Callers serialize access (outer/hybrid modes hold the result mutex).
-func (s *RunStats) mergeIter(st *iterState) {
-	for i, d := range st.nodeTimes {
-		s.Nodes[i].Time += d
-	}
-	s.RowsAllocated += st.rowsAllocated
-	s.RowsReleased += st.rowsReleased
-	s.TablesAllocated += st.tablesAllocated
-	s.TablesReleased += st.tablesReleased
-	s.TiledPasses += st.tiledPasses
-	s.TileSweeps += st.tileSweeps
-	s.sampleRSS()
-}
-
 // sampleRSS folds the current process resident-set size into the peak.
 // Called at iteration/batch boundaries under the caller's run lock.
 func (s *RunStats) sampleRSS() {
@@ -157,8 +142,8 @@ func (s *RunStats) sampleRSS() {
 	}
 }
 
-// mergeBatch folds one lane batch's batchState accounting into the
-// stats. Callers serialize access exactly like mergeIter.
+// mergeBatch folds one finished traversal's accounting into the stats.
+// Callers serialize access (outer/hybrid modes hold the result mutex).
 func (s *RunStats) mergeBatch(st *batchState) {
 	for i, d := range st.nodeTimes {
 		s.Nodes[i].Time += d
@@ -167,8 +152,9 @@ func (s *RunStats) mergeBatch(st *batchState) {
 	s.RowsReleased += st.rowsReleased
 	s.TablesAllocated += st.tablesAllocated
 	s.TablesReleased += st.tablesReleased
-	s.TiledPasses += st.tiledPasses
-	s.TileSweeps += st.tileSweeps
+	if st.peakBytes > s.PeakTableBytes {
+		s.PeakTableBytes = st.peakBytes
+	}
 	s.sampleRSS()
 }
 

@@ -19,7 +19,7 @@ import (
 // codebase (a project-specific linter's privilege):
 //
 //   - a loop is flagged when its body calls one of the DP work horses
-//     (run, runIter, runBatches, computeNode, …), or
+//     (run, runLanes, runBatches, computeNode, …), or
 //   - when its header names a vertex/iteration quantity (an identifier
 //     equal to v/u/vid/vtx or containing iter/vert/batch/lane) and its
 //     body makes at least one real (non-builtin, non-conversion) call.
@@ -35,24 +35,26 @@ var CtxPoll = &Analyzer{
 }
 
 // heavyWorkCalls are the DP entry points whose invocation marks a loop
-// as long-running regardless of its header. RunRank and runGroup are
-// the distributed tiers' work horses: a loop driving rank-local DP
-// iterations or shard dispatch rounds burns per-iteration work plus
-// network round-trips, so it must be interruptible.
+// as long-running regardless of its header. RunRank, runGroup and
+// runShard are the distributed tiers' work horses: a loop driving
+// rank-local DP iterations or shard dispatch rounds burns per-iteration
+// work plus network round-trips, so it must be interruptible. Every
+// name must be a function or method declared in internal/dp,
+// internal/dist or internal/shard (TestHeavyWorkCallsDeclared), so a
+// rename cannot silently drop a driver from the check.
 var heavyWorkCalls = map[string]bool{
-	"run":                 true,
-	"runIter":             true,
-	"runBatch":            true,
-	"runBatches":          true,
-	"computeNode":         true,
-	"computeNodeBatch":    true,
-	"computeBatchNode":    true,
-	"RunContext":          true,
-	"RunConvergedContext": true,
-	"VertexCountsContext": true,
-	"RunRank":             true,
-	"runGroup":            true,
-	"runShard":            true,
+	"run":                      true,
+	"runBag":                   true,
+	"runLanes":                 true,
+	"runBatches":               true,
+	"computeNode":              true,
+	"RunContext":               true,
+	"RunConvergedContext":      true,
+	"RunConvergedPriorContext": true,
+	"VertexCountsContext":      true,
+	"RunRank":                  true,
+	"runGroup":                 true,
+	"runShard":                 true,
 }
 
 // vocabExact and vocabSubstrings define the vertex/iteration name

@@ -5,9 +5,9 @@ import (
 	"go/types"
 )
 
-// HotAlloc enforces the //fascia:hotpath annotation: the batched and
-// tiled DP kernels, the table bulk/lane primitives, and the succinct
-// codec inner loops run per vertex × per lane, so a single heap
+// HotAlloc enforces the //fascia:hotpath annotation: the lane DP
+// kernels, the table bulk/lane primitives, and the succinct codec
+// inner loops run per vertex × per lane, so a single heap
 // allocation inside them multiplies into GC pressure that the arena
 // and scratch-pool design exists to avoid. An annotated function must
 // not contain:

@@ -246,6 +246,33 @@ func TestTreeIsClean(t *testing.T) {
 	}
 }
 
+// TestHeavyWorkCallsDeclared pins ctxpoll's driver list to the code: every
+// name in heavyWorkCalls must be a function or method declared in the
+// packages ctxpoll gates, so renaming a DP or shard driver fails here
+// instead of silently exempting its callers' loops from the check.
+func TestHeavyWorkCallsDeclared(t *testing.T) {
+	l := newTestLoader(t)
+	declared := map[string]bool{}
+	for _, path := range []string{"repro/internal/dp", "repro/internal/dist", "repro/internal/shard"} {
+		pkg, err := l.Load(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				if fd, ok := decl.(*ast.FuncDecl); ok {
+					declared[fd.Name.Name] = true
+				}
+			}
+		}
+	}
+	for name := range heavyWorkCalls {
+		if !declared[name] {
+			t.Errorf("heavyWorkCalls names %q, which no function in internal/{dp,dist,shard} declares", name)
+		}
+	}
+}
+
 func TestValidSuppressionTail(t *testing.T) {
 	valid := []string{
 		"ok — sort below erases order",

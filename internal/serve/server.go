@@ -13,6 +13,7 @@ import (
 	"time"
 
 	fascia "repro"
+	"repro/internal/dp"
 	"repro/internal/shard"
 )
 
@@ -454,7 +455,7 @@ func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
 	// prefix — truncated at the exact stop index a from-scratch adaptive
 	// run would have halted at, however much more the cache holds.
 	if req.Adaptive > 0 && len(prior) > 0 {
-		if idx := shard.StopIndex(prior, req.Adaptive, 2); idx >= 0 {
+		if idx := dp.StopIndex(prior, req.Adaptive, 2); idx >= 0 {
 			res := fascia.MergeIterations(prior[:idx], fascia.Result{})
 			s.respondCount(w, req, key, res, Hit, nil, start, shardSummary{})
 			return
@@ -540,7 +541,7 @@ func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
 	// An adaptive query whose stream (cache prefix + shard waves) has
 	// met the variance target needs no local residual; the shard tier
 	// already truncated its contribution at the exact stop index.
-	if req.Adaptive > 0 && shard.StopIndex(prior, req.Adaptive, 2) >= 0 {
+	if req.Adaptive > 0 && dp.StopIndex(prior, req.Adaptive, 2) >= 0 {
 		remaining = 0
 	}
 
@@ -586,16 +587,7 @@ func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
 	// shard tier's contribution was computed now; restore the true split
 	// so CachedIterations stays what the cache actually served.
 	merged.Stats.CachedIterations = cached
-	if !req.NoCache && (runErr == nil || localMerged || len(res.PerIteration) == 0) {
-		// Complete runs always extend the cache, and so does a query cut
-		// short before any local iterations finished — the shard tier
-		// only ever returns a contiguous prefix of the seed stream. A
-		// cancelled fixed local run with completed iterations cannot:
-		// its completed set may be a non-contiguous subset of the seed
-		// range under outer parallelism, and cache entries must be exact
-		// prefixes. Adaptive residual runs are exempt from that rule —
-		// they execute strictly sequentially, so even a cancelled one
-		// leaves an exact prefix.
+	if !req.NoCache {
 		s.cache.Extend(key, merged.PerIteration)
 	}
 	s.respondCount(w, req, key, merged, kind, runErr, start, sh)

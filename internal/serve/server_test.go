@@ -14,7 +14,7 @@ import (
 	"time"
 
 	fascia "repro"
-	"repro/internal/shard"
+	"repro/internal/dp"
 )
 
 // checkGoroutines fails the test if the goroutine count has not settled
@@ -242,7 +242,7 @@ func TestServerCacheHitAndOverlap(t *testing.T) {
 }
 
 // TestServerAdaptive covers the variance-targeted stopping rule end to
-// end: an adaptive query stops at exactly the shard.StopIndex of the
+// end: an adaptive query stops at exactly the dp.StopIndex of the
 // fixed-run seed stream (bit-identical prefix), repeats are pure cache
 // hits served from the shared (seed-keyed, adaptivity-blind) entry,
 // fixed queries reuse the same entry, and a tighter tolerance resumes
@@ -258,8 +258,8 @@ func TestServerAdaptive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stop1 := shard.StopIndex(want.PerIteration, rel1, 2)
-	stop2 := shard.StopIndex(want.PerIteration, rel2, 2)
+	stop1 := dp.StopIndex(want.PerIteration, rel1, 2)
+	stop2 := dp.StopIndex(want.PerIteration, rel2, 2)
 	if stop1 < 2 || stop2 <= stop1 {
 		t.Fatalf("degenerate workload: stops %d, %d", stop1, stop2)
 	}
@@ -439,6 +439,50 @@ func TestServerDeadlinePartial(t *testing.T) {
 	ts.Close()
 	ts.Client().CloseIdleConnections()
 	checkGoroutines(t, before)
+}
+
+// TestServerPartialExtendsCache pins the prefix contract of cancelled
+// local runs: a deadline-cut fixed query running in Outer mode with two
+// concurrent iterations keeps a seed-order prefix of its stream, so it
+// extends the cache with exactly that prefix. A follow-up one iteration
+// longer is then a cache partial that computes only the missing
+// iteration and matches an uncached run bit for bit.
+func TestServerPartialExtendsCache(t *testing.T) {
+	s, ts := newTestServer(t, Config{WorkerBudget: 2, MaxConcurrent: 1})
+	addSlowGraph(t, s)
+
+	req := slowRequest()
+	req.TimeoutMillis = 400
+	req.PerIteration = true
+	code, cut, _ := countQuery(t, ts, req)
+	if code != http.StatusOK || !cut.Partial {
+		t.Fatalf("status %d, partial %v: want a deadline-cut partial result", code, cut.Partial)
+	}
+	n := cut.Iterations
+	if n == 0 {
+		t.Skip("no iteration finished before the deadline")
+	}
+
+	req.Iterations = n + 1
+	req.TimeoutMillis = 60000
+	code, top, _ := countQuery(t, ts, req)
+	if code != http.StatusOK || top.Partial {
+		t.Fatalf("top-up: status %d, partial %v (%s)", code, top.Partial, top.Error)
+	}
+	if top.Cache != "partial" || top.CachedIterations != n {
+		t.Fatalf("top-up served cache %q with %d cached iterations, want partial with %d", top.Cache, top.CachedIterations, n)
+	}
+
+	req.NoCache = true
+	_, ref, _ := countQuery(t, ts, req)
+	if len(top.PerIteration) != n+1 || len(ref.PerIteration) != n+1 {
+		t.Fatalf("streams have %d and %d iterations, want %d", len(top.PerIteration), len(ref.PerIteration), n+1)
+	}
+	for i := range ref.PerIteration {
+		if top.PerIteration[i] != ref.PerIteration[i] || (i < n && cut.PerIteration[i] != ref.PerIteration[i]) {
+			t.Fatalf("iteration %d: cut %v, top-up %v, uncached %v", i, cut.PerIteration[i], top.PerIteration[i], ref.PerIteration[i])
+		}
+	}
 }
 
 // TestServerDrain checks the graceful-drain contract: in-flight queries

@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"net"
 	"sort"
 	"strings"
@@ -223,34 +222,6 @@ type ConvergeSpec struct {
 	Prior []float64
 }
 
-// StopIndex returns the length of the shortest prefix of ests at which
-// an adaptive run targeting relStdErr would stop — the first
-// n >= max(minIters, 2) whose relative standard error of the mean is at
-// or below the target — or -1 if no prefix converges. It mirrors the dp
-// engine's Welford stop rule exactly, so coordinators and caches can
-// truncate an over-complete estimate stream to the bit-identical
-// adaptive prefix.
-func StopIndex(ests []float64, relStdErr float64, minIters int) int {
-	if relStdErr <= 0 {
-		return -1
-	}
-	if minIters < 2 {
-		minIters = 2
-	}
-	var mean, m2 float64
-	for i, est := range ests {
-		n := float64(i + 1)
-		delta := est - mean
-		mean += delta / n
-		m2 += delta * (est - mean)
-		if i+1 >= minIters && mean != 0 &&
-			math.Sqrt(m2/(n-1)/n)/math.Abs(mean) <= relStdErr {
-			return i + 1
-		}
-	}
-	return -1
-}
-
 // Outcome reports a sharded dispatch.
 type Outcome struct {
 	// PerIteration holds the completed prefix of the iteration stream —
@@ -315,7 +286,7 @@ func (p *Pool) Count(ctx context.Context, q Query) (Outcome, error) {
 // MinIters; each later wave doubles the stream, so the per-wave dial
 // overhead stays logarithmic in the total while the overshoot past the
 // exact stop point is bounded by 2x — and the overshoot is then
-// truncated at StopIndex, so the returned prefix is bit-identical to a
+// truncated at dp.StopIndex, so the returned prefix is bit-identical to a
 // local adaptive run over the same seeds.
 func (p *Pool) countConverged(ctx context.Context, q Query, k int, scale float64, excluded map[string]bool) (Outcome, error) {
 	var out Outcome
@@ -327,7 +298,7 @@ func (p *Pool) countConverged(ctx context.Context, q Query, k int, scale float64
 	stream := append([]float64(nil), c.Prior...)
 	finish := func(err error) (Outcome, error) {
 		keep := len(stream) - len(c.Prior)
-		if idx := StopIndex(stream, c.RelStdErr, minIters); idx >= 0 {
+		if idx := dp.StopIndex(stream, c.RelStdErr, minIters); idx >= 0 {
 			if f := idx - len(c.Prior); f < keep {
 				keep = max(f, 0)
 			}
@@ -336,7 +307,7 @@ func (p *Pool) countConverged(ctx context.Context, q Query, k int, scale float64
 		return out, err
 	}
 	for {
-		if StopIndex(stream, c.RelStdErr, minIters) >= 0 {
+		if dp.StopIndex(stream, c.RelStdErr, minIters) >= 0 {
 			return finish(nil)
 		}
 		rem := q.Iterations - (len(stream) - len(c.Prior))

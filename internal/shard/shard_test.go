@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/dist"
+	"repro/internal/dp"
 	"repro/internal/exact"
 	"repro/internal/graph"
 	"repro/internal/tmpl"
@@ -494,33 +495,8 @@ func TestPoolRegistry(t *testing.T) {
 	}
 }
 
-// TestStopIndex pins the Welford stopping rule the adaptive tiers
-// share: constant streams stop at the floor, high-variance streams
-// never stop, zero means and non-positive targets disable stopping.
-func TestStopIndex(t *testing.T) {
-	constant := []float64{8, 8, 8, 8, 8, 8}
-	if got := StopIndex(constant, 0.1, 4); got != 4 {
-		t.Fatalf("constant stream: stop %d, want 4 (the floor)", got)
-	}
-	if got := StopIndex(constant, 0.1, 0); got != 2 {
-		t.Fatalf("minIters < 2 not clamped: stop %d, want 2", got)
-	}
-	if got := StopIndex([]float64{1, 100, 1, 100, 1, 100}, 0.01, 2); got != -1 {
-		t.Fatalf("high-variance stream converged at %d", got)
-	}
-	if got := StopIndex([]float64{5, -5, 5, -5}, 0.5, 2); got != -1 {
-		t.Fatalf("zero-mean stream converged at %d", got)
-	}
-	if got := StopIndex(constant, 0, 2); got != -1 {
-		t.Fatalf("non-positive target converged at %d", got)
-	}
-	if got := StopIndex(nil, 0.1, 2); got != -1 {
-		t.Fatalf("empty stream converged at %d", got)
-	}
-}
-
 // TestShardConverged drives the adaptive wave dispatcher over real TCP
-// workers: the converged stream must be the exact StopIndex prefix of
+// workers: the converged stream must be the exact dp.StopIndex prefix of
 // the fixed-run stream (bit-identical), a cached prior must shift the
 // dispatch without changing the stopping point, and an already-converged
 // prior must dispatch nothing.
@@ -540,12 +516,12 @@ func TestShardConverged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stop := StopIndex(ref.PerIteration, relStdErr, minIters)
+	stop := dp.StopIndex(ref.PerIteration, relStdErr, minIters)
 	if stop < minIters || stop >= cap1 {
 		t.Fatalf("degenerate workload: stop %d", stop)
 	}
 
-	// Adaptive from scratch: exactly the StopIndex prefix.
+	// Adaptive from scratch: exactly the dp.StopIndex prefix.
 	q := base
 	q.Converge = &ConvergeSpec{RelStdErr: relStdErr, MinIters: minIters}
 	out, err := pool.Count(context.Background(), q)

@@ -1,10 +1,10 @@
 package table
 
 // 8-wide bounds-check-eliminated bulk loops shared by the layouts' bulk
-// primitives (AccumulateRows and the tiled range variants). The batched
-// DP's inner dimension is a lane-widened float64 row (width NumSets × B),
-// and the scalar Go backend retires about one bounds-checked add per
-// cycle; the slice-to-array-pointer form below keeps eight independent
+// primitives (AccumulateRows). The DP's inner dimension is a
+// lane-widened float64 row (width NumSets × B), and the scalar Go
+// backend retires about one bounds-checked add per cycle; the
+// slice-to-array-pointer form below keeps eight independent
 // adds in flight with no per-element bounds checks. This file must stay
 // free of IsInBounds checks — `make check-bce` builds it with
 // -gcflags=-d=ssa/check_bce and fails if any reappear.

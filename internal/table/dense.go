@@ -74,27 +74,6 @@ func (d *Dense) AccumulateRows(vs []int32, dst []float64) {
 	}
 }
 
-// AccumulateRowsRange implements RangeAccumulator: like AccumulateRows
-// but folds only the flat column range [lo, hi) of each row into the
-// aligned subrange dst[lo:hi] — the tiled kernels' gather primitive.
-func (d *Dense) AccumulateRowsRange(vs []int32, dst []float64, lo, hi int) {
-	ns := d.numSets
-	sub := dst[lo:hi]
-	for _, v := range vs {
-		base := int(v) * ns
-		addTo(sub, d.data[base+lo:base+hi:base+hi])
-	}
-}
-
-// GatherColors implements ColorGatherer.
-func (d *Dense) GatherColors(vs []int32, colors []int8, dst []float64) {
-	ns := d.numSets
-	for _, v := range vs {
-		c := colors[v]
-		dst[c] += d.data[int(v)*ns+int(c)]
-	}
-}
-
 // SumRow implements Table.
 func (d *Dense) SumRow(v int32) float64 {
 	var s float64

@@ -118,50 +118,6 @@ func (h *HashTable) AccumulateRows(vs []int32, dst []float64) {
 	}
 }
 
-// AccumulateRowsRange implements RangeAccumulator: probe only the flat
-// column range [lo, hi) of each present vertex into the aligned
-// subrange dst[lo:hi].
-func (h *HashTable) AccumulateRowsRange(vs []int32, dst []float64, lo, hi int) {
-	for _, v := range vs {
-		if !h.Has(v) {
-			continue
-		}
-		base := int64(v) * int64(h.numSets)
-		for ci := lo; ci < hi; ci++ {
-			key := base + int64(ci)
-			for i := h.mix(key); ; i = (i + 1) & h.mask {
-				k := h.keys[i]
-				if k == key {
-					dst[ci] += h.vals[i]
-					break
-				}
-				if k == emptyKey {
-					break
-				}
-			}
-		}
-	}
-}
-
-// GatherColors implements ColorGatherer: one probe per vertex for its
-// single relevant cell (v, colors[v]).
-func (h *HashTable) GatherColors(vs []int32, colors []int8, dst []float64) {
-	for _, v := range vs {
-		c := colors[v]
-		key := int64(v)*int64(h.numSets) + int64(c)
-		for i := h.mix(key); ; i = (i + 1) & h.mask {
-			k := h.keys[i]
-			if k == key {
-				dst[c] += h.vals[i]
-				break
-			}
-			if k == emptyKey {
-				break
-			}
-		}
-	}
-}
-
 func (h *HashTable) grow() {
 	oldKeys, oldVals := h.keys, h.vals
 	h.init(len(oldKeys) * 2)

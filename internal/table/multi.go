@@ -1,10 +1,10 @@
 package table
 
-// Multi is the lane-strided multi-coloring table behind the dp package's
-// batched execution mode: one underlying Table stores the cells of L
+// Multi is the lane-strided multi-coloring table behind every dp
+// partition-tree traversal: one underlying Table stores the cells of L
 // concurrent color-coding iterations ("lanes"), with the logical cell
 // (v, ci, lane) living at flat column ci·L + lane of a width NumSets·L
-// row. Lane blocks are contiguous, so the batched kernels' innermost
+// row. Lane blocks are contiguous, so the lane kernels' innermost
 // loops are flat float64 FMA sweeps over the lane dimension, and one
 // graph traversal serves all L lanes.
 //
@@ -12,7 +12,7 @@ package table
 // lane stores a nonzero there. Absent lanes of a present row read as the
 // zeros they are, so per-lane results are unaffected — counts are
 // integer-valued float64s and every summation order is exact (up to
-// 2^53), which is what makes batched and unbatched runs bit-identical.
+// 2^53), which is what makes runs bit-identical at every lane count.
 type Multi struct {
 	tab     Table
 	numSets int
@@ -87,25 +87,17 @@ func (m *Multi) MaterializeRow(v int32, dst []float64) []float64 {
 }
 
 // AccumulateRows adds the flat lane rows of every vertex in vs into dst
-// (length Width) — the batched SpMM-style neighbor aggregation: one
+// (length Width) — the lane-widened SpMM-style neighbor aggregation: one
 // interface dispatch and one sequential sweep per neighbor, amortized
 // over all lanes.
 func (m *Multi) AccumulateRows(vs []int32, dst []float64) {
 	AccumulateRowsInto(m.tab, vs, dst)
 }
 
-// AccumulateRowsRange is the tiled form of AccumulateRows: it folds only
-// the per-lane column range [lo, hi) — flat columns [lo·L, hi·L) — of
-// each vertex's lane row into the aligned subrange of dst. Lane blocks
-// are contiguous, so a per-lane column tile is one flat slice per row.
-func (m *Multi) AccumulateRowsRange(vs []int32, dst []float64, lo, hi int) {
-	AccumulateRowsRangeInto(m.tab, vs, dst, lo*m.lanes, hi*m.lanes)
-}
-
 // GatherColors folds, for each vertex u in vs and each lane j, the cell
 // (u, colors[u·L+j], j) into dst[colors[u·L+j]·L+j]; colors is the
 // lane-strided per-vertex coloring and dst has length k·L. It is the
-// batched form of the single-vertex-child per-color gather.
+// lane-widened single-vertex-child per-color gather.
 func (m *Multi) GatherColors(vs []int32, colors []int8, dst []float64) {
 	L := m.lanes
 	sc, isSuccinct := m.tab.(*SuccinctTable)
@@ -134,47 +126,9 @@ func (m *Multi) GatherColors(vs []int32, colors []int8, dst []float64) {
 	}
 }
 
-// GatherColorsRange is the tiled form of GatherColors: lanes whose
-// color for u falls outside the per-lane column range [lo, hi) are
-// skipped, so a tile sweep over the passive columns visits each (u,
-// lane) cell exactly once across tiles.
-func (m *Multi) GatherColorsRange(vs []int32, colors []int8, dst []float64, lo, hi int) {
-	L := m.lanes
-	sc, isSuccinct := m.tab.(*SuccinctTable)
-	for _, u := range vs {
-		if row := m.tab.Row(u); row != nil {
-			base := int(u) * L
-			for j := 0; j < L; j++ {
-				c := int(colors[base+j])
-				if c < lo || c >= hi {
-					continue
-				}
-				o := c*L + j
-				dst[o] += row[o]
-			}
-		} else if isSuccinct { // succinct: one decode visits every lane
-			base := int(u) * L
-			sc.ForEachInRow(u, func(ci int32, val float64) {
-				c := int(ci) / L
-				if c < lo || c >= hi {
-					return
-				}
-				if int(colors[base+int(ci)%L]) == c {
-					dst[ci] += val
-				}
-			})
-		} else if m.tab.Has(u) { // hash layout: probe per lane
-			base := int(u) * L
-			for j := 0; j < L; j++ {
-				c := int(colors[base+j])
-				if c < lo || c >= hi {
-					continue
-				}
-				dst[c*L+j] += m.Get(u, int32(c), j)
-			}
-		}
-	}
-}
+// SumRow returns the sum of v's flat row over every lane and color set
+// (zero when absent) — at one lane, v's row sum.
+func (m *Multi) SumRow(v int32) float64 { return m.tab.SumRow(v) }
 
 // Totals accumulates the per-lane sum of all cells into dst (length
 // Lanes) — one colorful-mapping total per concurrent coloring.

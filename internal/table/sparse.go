@@ -167,32 +167,6 @@ func (s *Sparse) AccumulateRows(vs []int32, dst []float64) {
 	}
 }
 
-// AccumulateRowsRange implements RangeAccumulator: like AccumulateRows
-// but folds only the flat column range [lo, hi) of each present row into
-// the aligned subrange dst[lo:hi] — the tiled kernels' gather primitive.
-func (s *Sparse) AccumulateRowsRange(vs []int32, dst []float64, lo, hi int) {
-	sub := dst[lo:hi]
-	for _, v := range vs {
-		slot := s.index[v]
-		if slot < 0 {
-			continue
-		}
-		addTo(sub, s.rowAt(slot)[lo:hi])
-	}
-}
-
-// GatherColors implements ColorGatherer; absent rows contribute nothing.
-func (s *Sparse) GatherColors(vs []int32, colors []int8, dst []float64) {
-	for _, v := range vs {
-		slot := s.index[v]
-		if slot < 0 {
-			continue
-		}
-		c := colors[v]
-		dst[c] += s.rowAt(slot)[c]
-	}
-}
-
 // SumRow implements Table.
 func (s *Sparse) SumRow(v int32) float64 {
 	var sum float64

@@ -54,7 +54,7 @@ const maxSuccinctCellBytes = 15
 // encoded cost per (vertex, color-set) cell: DP rows are mostly zero
 // (skipped outright) and their nonzero counts are small integers that
 // varint-pack into one or two bytes, so two bytes per cell is a
-// conservative sizing figure for the batch and tile planners.
+// conservative sizing figure for the batch planner.
 const succinctCellEstimateBytes = 2.0
 
 // NewSuccinct creates a succinct table for n vertices with no rows
@@ -373,34 +373,6 @@ func (s *SuccinctTable) AccumulateRow(v int32, dst []float64) {
 func (s *SuccinctTable) AccumulateRows(vs []int32, dst []float64) {
 	for _, v := range vs {
 		s.AccumulateRow(v, dst)
-	}
-}
-
-// AccumulateRowsRange implements RangeAccumulator: tokens are in
-// ascending column order, so the walk stops at hi.
-func (s *SuccinctTable) AccumulateRowsRange(vs []int32, dst []float64, lo, hi int) {
-	for _, v := range vs {
-		enc := s.rowEnc(v)
-		if enc == nil {
-			continue
-		}
-		walkSuccinctRow(enc, func(ci int, val float64) bool {
-			if ci >= hi {
-				return false
-			}
-			if ci >= lo {
-				dst[ci] += val
-			}
-			return true
-		})
-	}
-}
-
-// GatherColors implements ColorGatherer.
-func (s *SuccinctTable) GatherColors(vs []int32, colors []int8, dst []float64) {
-	for _, v := range vs {
-		c := colors[v]
-		dst[c] += s.Get(v, int32(c))
 	}
 }
 

@@ -113,8 +113,8 @@ func NewInArena(kind Kind, n int, numSets int, a *Arena) Table {
 var Kinds = []Kind{Naive, Lazy, Hash, Succinct}
 
 // BytesPerCellEstimate returns the layout's expected storage cost per
-// (vertex, color-set) cell, the figure the dp batch and tile planners
-// size (B, tiles) with. Dense-backed layouts (and hash, whose occupancy
+// (vertex, color-set) cell, the figure the dp batch planner sizes B
+// with. Dense-backed layouts (and hash, whose occupancy
 // cannot be assumed small a priori) cost a full float64 per cell; the
 // succinct layout's zero-run skipping and varint packing average a few
 // bytes per cell on the integer-valued, mostly-zero DP tables, so the
@@ -179,70 +179,6 @@ func AccumulateRowsInto(tab Table, vs []int32, dst []float64) {
 	}
 	for _, v := range vs {
 		AccumulateRowInto(tab, v, dst)
-	}
-}
-
-// RangeAccumulator is the tiled form of BulkAccumulator: it folds only
-// the flat column range [lo, hi) of each row into the aligned subrange
-// dst[lo:hi]. The tiled DP kernels sweep a node's passive columns one
-// tile at a time so the gathered rows stay cache-resident; every
-// built-in layout implements this with a tight concrete loop.
-type RangeAccumulator interface {
-	AccumulateRowsRange(vs []int32, dst []float64, lo, hi int)
-}
-
-// AccumulateRowsRangeInto adds columns [lo, hi) of the rows of all vs
-// into dst[lo:hi] via the RangeAccumulator fast path when available,
-// falling back to Row and finally per-cell Get.
-func AccumulateRowsRangeInto(tab Table, vs []int32, dst []float64, lo, hi int) {
-	if acc, ok := tab.(RangeAccumulator); ok {
-		acc.AccumulateRowsRange(vs, dst, lo, hi)
-		return
-	}
-	for _, v := range vs {
-		if row := tab.Row(v); row != nil {
-			addTo(dst[lo:hi], row[lo:hi])
-		} else if tab.Has(v) {
-			for ci := lo; ci < hi; ci++ {
-				dst[ci] += tab.Get(v, int32(ci))
-			}
-		}
-	}
-}
-
-// GatherColorsRangeInto is the tiled form of GatherColorsInto: vertices
-// whose color falls outside [lo, hi) are skipped entirely, so a tile
-// sweep touches only the cache-resident column range and each (v,
-// colors[v]) cell is folded exactly once across tiles.
-func GatherColorsRangeInto(tab Table, vs []int32, colors []int8, dst []float64, lo, hi int) {
-	for _, v := range vs {
-		c := int(colors[v])
-		if c < lo || c >= hi {
-			continue
-		}
-		dst[c] += tab.Get(v, int32(c))
-	}
-}
-
-// ColorGatherer is the bulk primitive behind the single-vertex-child
-// aggregated kernel: for each vertex v in vs it adds the cell
-// (v, colors[v]) into dst[colors[v]], folding an adjacency list into at
-// most NumSets per-color sums with one interface dispatch. Absent cells
-// contribute zero.
-type ColorGatherer interface {
-	GatherColors(vs []int32, colors []int8, dst []float64)
-}
-
-// GatherColorsInto folds the (v, colors[v]) cells of all vs into dst
-// using the ColorGatherer fast path when available.
-func GatherColorsInto(tab Table, vs []int32, colors []int8, dst []float64) {
-	if g, ok := tab.(ColorGatherer); ok {
-		g.GatherColors(vs, colors, dst)
-		return
-	}
-	for _, v := range vs {
-		c := colors[v]
-		dst[c] += tab.Get(v, int32(c))
 	}
 }
 

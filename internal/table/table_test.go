@@ -134,9 +134,6 @@ func TestBulkAccumulateAndGather(t *testing.T) {
 		if _, ok := tab.(BulkAccumulator); !ok {
 			t.Fatalf("%v: does not implement BulkAccumulator", kind)
 		}
-		if _, ok := tab.(ColorGatherer); !ok {
-			t.Fatalf("%v: does not implement ColorGatherer", kind)
-		}
 		tab.StoreRow(1, []float64{1, 2, 0, 4})
 		tab.StoreRow(3, []float64{0, 0, 5, 1})
 		tab.Set(7, 3, 9)
@@ -153,11 +150,16 @@ func TestBulkAccumulateAndGather(t *testing.T) {
 			}
 		}
 
-		// GatherColors folds cell (v, colors[v]) into dst[colors[v]]:
-		// v=1 (color 0, val 1), v=3 (color 3, val 1), v=7 (color 3, val
-		// 9), v=5 absent.
+		// GatherColors folds cell (v, colors[v]) into dst[colors[v]] — at
+		// one lane the lane-strided table is the plain layout: v=1 (color
+		// 0, val 1), v=3 (color 3, val 1), v=7 (color 3, val 9), v=5
+		// absent.
+		m := NewMulti(kind, 10, 4, 1, nil)
+		m.StoreRow(1, []float64{1, 2, 0, 4})
+		m.StoreRow(3, []float64{0, 0, 5, 1})
+		m.Set(7, 3, 0, 9)
 		bins := make([]float64, 4)
-		GatherColorsInto(tab, []int32{1, 3, 7, 5}, colors, bins)
+		m.GatherColors([]int32{1, 3, 7, 5}, colors, bins)
 		wantBins := []float64{1, 0, 0, 10}
 		for i := range wantBins {
 			if bins[i] != wantBins[i] {

@@ -220,22 +220,15 @@ type Options struct {
 	// KeepTables retains the final iteration's tables for
 	// SampleEmbeddings.
 	KeepTables bool
-	// Batch selects the iteration-batched execution mode: B > 1 runs B
-	// independent colorings ("lanes") through one DP traversal per
-	// batch, amortizing the graph walk and split enumeration across
-	// lanes. 0 or 1 keeps the classic one-traversal-per-iteration
-	// schedule; BatchAuto picks a width from the template size and a
-	// memory budget. Results are bit-identical to unbatched runs (lane
+	// Batch is the number of independent colorings ("lanes") each DP
+	// traversal of a fixed-count run carries, amortizing the graph walk
+	// and split enumeration across lanes. 0 or 1 runs one lane per
+	// traversal; BatchAuto picks a width from the table widths and a
+	// memory budget. Results are bit-identical at every width (lane
 	// seeds match iteration seeds); only speed and peak memory (×B per
-	// concurrent traversal) change.
+	// concurrent traversal) change. Adaptive runs, per-vertex counts and
+	// embedding sampling always traverse one lane at a time.
 	Batch int
-	// LLCBytes is the cache budget (in bytes) the engine's column-tiling
-	// heuristics target: DP passes whose passive-table working set
-	// exceeds it are swept tile-by-tile so gathered rows stay
-	// cache-resident. 0 consults the FASCIA_LLC_BYTES environment
-	// variable and falls back to 64 MiB; negative disables tiling.
-	// Execution-only: estimates are bit-identical at any setting.
-	LLCBytes int64
 	// MemBudgetBytes bounds the engine's peak table memory: large table
 	// slabs spill to unlinked file-backed mappings the OS can page out,
 	// and the automatic batch sizer caps its lane budget, so peak RSS
@@ -322,20 +315,13 @@ func (o Options) WithKernel(c KernelChoice) Options {
 }
 
 // BatchAuto asks the engine to choose the iteration-batch width from
-// the template size and a memory budget (see Options.Batch).
+// the table widths and a memory budget (see Options.Batch).
 const BatchAuto = dp.BatchAuto
 
 // WithBatch returns a copy of o using the given iteration-batch width
 // (BatchAuto to let the engine choose).
 func (o Options) WithBatch(b int) Options {
 	o.Batch = b
-	return o
-}
-
-// WithLLCBytes returns a copy of o with the given tiling cache budget
-// (see Options.LLCBytes).
-func (o Options) WithLLCBytes(b int64) Options {
-	o.LLCBytes = b
 	return o
 }
 
@@ -381,7 +367,7 @@ func (o Options) WithOnIteration(fn func(i int, estimate float64, elapsed time.D
 // so a cached adaptive entry records the iterations actually run
 // rather than masquerading as a fixed-length stream). Execution knobs
 // that are property-tested bit-identical — Table, Kernel, Batch,
-// Parallel, Threads, DisableLeafSpecial, LLCBytes, MemBudgetBytes —
+// Parallel, Threads, DisableLeafSpecial, MemBudgetBytes —
 // and lifecycle knobs (Iterations, Seed, Timeout, KeepTables,
 // OnIteration, Epsilon/Delta) are deliberately excluded so they do not
 // fragment a cache. The leading version tag must be bumped if estimate
@@ -408,7 +394,7 @@ var (
 	// settings by the kernel-equivalence and oracle-differential property
 	// tests; excluding them keeps equivalent queries on one cache entry.
 	fingerprintExecutionOnly = []string{
-		"Table", "Kernel", "Batch", "Parallel", "Threads", "DisableLeafSpecial", "LLCBytes", "MemBudgetBytes",
+		"Table", "Kernel", "Batch", "Parallel", "Threads", "DisableLeafSpecial", "MemBudgetBytes",
 	}
 	// fingerprintLifecycle shape how many iterations run, which seed
 	// starts the stream, or what happens around the run — the cache keys
@@ -465,7 +451,6 @@ func (o Options) config() (dp.Config, error) {
 		Kernel:             kern,
 		KeepTables:         o.KeepTables,
 		Batch:              o.Batch,
-		LLCBytes:           o.LLCBytes,
 		MemBudgetBytes:     o.MemBudgetBytes,
 		OnIteration:        o.OnIteration,
 	}, nil
