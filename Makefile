@@ -111,6 +111,9 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=$(FUZZTIME) ./internal/tmpl
 	$(GO) test -run='^$$' -fuzz=FuzzParseGraph -fuzztime=$(FUZZTIME) ./internal/tmpl
 	$(GO) test -run='^$$' -fuzz=FuzzSuccinctRow -fuzztime=$(FUZZTIME) ./internal/table
+	$(GO) test -run='^$$' -fuzz=FuzzRowsFrame -fuzztime=$(FUZZTIME) ./internal/shard
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeRun -fuzztime=$(FUZZTIME) ./internal/shard
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeHello -fuzztime=$(FUZZTIME) ./internal/shard
 
 # fasciad end to end under -race: boot on an ephemeral port, count,
 # cache hit, residual overlap, SIGTERM drain, goroutine-leak check.

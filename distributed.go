@@ -28,10 +28,13 @@ type DistributedResult struct {
 // CountDistributed estimates the template count using the simulated
 // distributed-memory runtime (the paper's stated future work): the
 // dynamic-programming table is block-partitioned across ranks, which
-// exchange boundary rows by message passing before every DP step.
-// Labeled templates are supported (labels prune rank-local leaf rows).
-// Iterations and seed come from opt; table layout and parallel-mode
-// options do not apply (each rank owns a dense slice of rows).
+// exchange boundary rows by message passing before every DP step whose
+// passive child is an internal node. Each rank runs the shared-memory
+// engine's kernels over its own vertex block. Labeled templates are
+// supported (labels prune leaf cells on every rank). Iterations, seed,
+// colors and partitioning come from opt; table layout and
+// parallel-mode options do not apply (each rank is one sequential pass
+// over lazy tables).
 func CountDistributed(g *Graph, t *Template, ranks int, opt Options) (DistributedResult, error) {
 	return CountDistributedContext(context.Background(), g, t, ranks, opt)
 }

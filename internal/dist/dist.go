@@ -1,13 +1,25 @@
 // Package dist implements the paper's stated future work — "partitioning
 // the dynamic programming table for execution on a distributed-memory
-// platform" (the PARSE/SAHAD direction) — as a faithful message-passing
-// simulation: the vertex set is block-partitioned across P ranks, each
-// rank owns the table rows of its vertices for every subtemplate, and
-// before each DP step ranks exchange the passive-child rows of their
-// boundary ("ghost") vertices with the ranks that need them. Ranks run as
-// goroutines communicating only through typed channels; no rank ever
-// reads another rank's table memory directly, so the communication volume
-// reported is exactly what a real MPI implementation would ship.
+// platform" (the PARSE/SAHAD direction) — as a message-passing protocol:
+// the vertex set is block-partitioned across P ranks, each rank owns the
+// table rows of its vertices for every subtemplate, and before each DP
+// step whose passive child is an internal node, ranks exchange that
+// child's rows of their boundary ("ghost") vertices with the ranks that
+// need them.
+//
+// The rank-local DP runs on internal/dp's lane kernels (dp.RankPass).
+// Every rank derives the full coloring from the seed and holds the whole
+// graph and its labels, so leaf children are implicit and steps whose
+// passive child is a leaf exchange nothing. This package is the protocol
+// driver around that pass: partitioning, needs lists, the step schedule,
+// send and receive. Ranks run here as goroutines communicating only
+// through typed channels, and internal/shard runs the same protocol over
+// TCP (wire version 2). No rank ever reads another rank's table memory
+// directly, so the communication volume reported is exactly what a real
+// MPI implementation would ship. Rank tables take no arena: free-listed
+// slabs count as live memory and the GC target doubles them, which
+// paired runs of the shard benchmark showed as a 24–31% higher p90 RSS
+// for iterations about 15% shorter (DESIGN.md §7.1).
 //
 // The distributed run is bit-identical to the shared-memory engine under
 // the same seed, which the tests assert exactly.
@@ -16,13 +28,13 @@ package dist
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"sort"
+	"sync"
 
-	"repro/internal/comb"
 	"repro/internal/dp"
 	"repro/internal/graph"
 	"repro/internal/part"
+	"repro/internal/table"
 	"repro/internal/tmpl"
 )
 
@@ -57,21 +69,16 @@ type Result struct {
 	Messages int64
 	// MaxRankRows is the largest number of table rows held by any single
 	// rank for any single subtemplate — the per-node memory the
-	// partitioning is meant to bound.
+	// partitioning is meant to bound. Implicit leaves hold no rows.
 	MaxRankRows int
 }
 
-// Engine is a prepared distributed counter.
+// Engine is a prepared distributed counter: a one-lane dp engine that
+// every rank's pass runs on, plus the partition and the step schedule.
 type Engine struct {
-	g    *graph.Graph
-	t    *tmpl.Template
-	cfg  Config
-	k    int
+	dp   *dp.Engine
 	tree *part.Tree
-	aut  int64
-	prob float64
-
-	splits map[[2]int]*comb.SplitTable
+	cfg  Config
 
 	// Vertex ownership: rank r owns [bounds[r], bounds[r+1]).
 	bounds []int32
@@ -80,13 +87,29 @@ type Engine struct {
 	// vertex), sorted ascending. Computed once.
 	needs [][][]int32
 
-	// internalSteps lists the positions in tree.Order that exchange
-	// boundary rows (the internal nodes); passiveStep maps each node to
-	// the order position of the parent that consumes it as the passive
-	// child (absent for the root and for active-only children), which is
-	// where its boundary rows must arrive.
-	internalSteps []int
-	passiveStep   map[*part.Node]int
+	// exchangeSteps lists the evaluation-order positions that exchange
+	// ghost rows (internal nodes whose passive child is internal), and
+	// exchanges marks them by position.
+	exchangeSteps []int
+	exchanges     []bool
+	// passiveStep maps every internal node some parent consumes as its
+	// passive child to that parent's position, where its boundary rows
+	// must arrive.
+	passiveStep map[*part.Node]int
+
+	// plans[r] is rank r's ghost-slot layout, built on first use: a
+	// shard worker runs one rank and needs only its own.
+	plans []rankPlan
+}
+
+// rankPlan places the ghost rows one rank receives: the rows from
+// source s fill slots off[s], off[s]+1, … in s's needs-list order, and
+// slot[u] names remote vertex u's slot (-1 when u is no ghost).
+type rankPlan struct {
+	once sync.Once
+	slot []int32
+	off  []int
+	n    int
 }
 
 // New prepares a distributed engine.
@@ -97,44 +120,39 @@ func New(g *graph.Graph, t *tmpl.Template, cfg Config) (*Engine, error) {
 	if g == nil || g.N() < 1 {
 		return nil, ErrEmptyGraph
 	}
-	if t.Labeled() && g.Labels == nil {
-		return nil, fmt.Errorf("dist: labeled template requires a labeled graph")
+	if !t.IsTree() {
+		return nil, fmt.Errorf("dist: template %s is not a tree", t.Name())
 	}
-	k := cfg.Colors
-	if k == 0 {
-		k = t.K()
-	}
-	if k < t.K() || k > comb.MaxColors {
-		return nil, fmt.Errorf("dist: invalid color count %d for template size %d", k, t.K())
-	}
-	tree, err := part.Build(t, cfg.Strategy, false)
+	// Vertex ids define ownership, so the engine never relabels; every
+	// node feeds one parent (no sharing), and a rank pass is one lane on
+	// one worker over Lazy tables, whose rows exist only where owned.
+	de, err := dp.New(g, t, dp.Config{
+		Colors:         cfg.Colors,
+		TableKind:      table.Lazy,
+		Strategy:       cfg.Strategy,
+		Mode:           dp.Inner,
+		Workers:        1,
+		Seed:           cfg.Seed,
+		RootVertex:     -1,
+		Batch:          1,
+		MemBudgetBytes: -1,
+		Reorder:        dp.ReorderOff,
+	})
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{
-		g: g, t: t, cfg: cfg, k: k, tree: tree,
-		aut:    t.Automorphisms(),
-		prob:   dp.ColorfulProbability(k, t.K()),
-		splits: map[[2]int]*comb.SplitTable{},
-	}
-	for _, n := range tree.Nodes {
-		if n.IsLeaf() {
+	e := &Engine{dp: de, tree: de.Tree(), cfg: cfg, plans: make([]rankPlan, cfg.Ranks)}
+	e.partitionVertices(g)
+	order := e.tree.Order
+	e.exchanges = make([]bool, len(order))
+	e.passiveStep = map[*part.Node]int{}
+	for i, n := range order {
+		if n.IsLeaf() || n.Passive.IsLeaf() {
 			continue
 		}
-		key := [2]int{n.Size(), n.Active.Size()}
-		if _, ok := e.splits[key]; !ok {
-			e.splits[key] = comb.NewSplitTable(k, n.Size(), n.Active.Size())
-		}
-	}
-	e.partitionVertices()
-	e.passiveStep = map[*part.Node]int{}
-	for i, n := range tree.Order {
-		if !n.IsLeaf() {
-			e.internalSteps = append(e.internalSteps, i)
-			// Trees are built with share=false, so every node is the
-			// passive child of at most one parent.
-			e.passiveStep[n.Passive] = i
-		}
+		e.exchangeSteps = append(e.exchangeSteps, i)
+		e.exchanges[i] = true
+		e.passiveStep[n.Passive] = i
 	}
 	return e, nil
 }
@@ -150,51 +168,32 @@ func (e *Engine) Bounds(r int) (lo, hi int32) { return e.bounds[r], e.bounds[r+1
 // must not be mutated.
 func (e *Engine) NeedList(src, dst int) []int32 { return e.needs[src][dst] }
 
-// Steps returns the number of positions in the DP evaluation order
-// (boundary rows are exchanged only at the internal ones).
+// Steps returns the number of positions in the DP evaluation order.
 func (e *Engine) Steps() int { return len(e.tree.Order) }
+
+// ExchangeSteps returns the number of positions that exchange boundary
+// rows; when it is zero ranks never talk.
+func (e *Engine) ExchangeSteps() int { return len(e.exchangeSteps) }
 
 // Scale returns the divisor that turns a summed colorful total into an
 // occurrence estimate: the colorful probability times the automorphism
 // count. A coordinator merging per-rank totals must compute
 // sum / Scale() to stay bit-identical with the in-process runtime.
-func (e *Engine) Scale() float64 { return e.prob * float64(e.aut) }
-
-// IterationColors derives iteration iter's coloring — broadcast state in
-// a real system, derived identically by every rank from the shared seed
-// (iteration i colors with Seed+i, exactly as the shared-memory engine).
-func (e *Engine) IterationColors(iter int) []int8 {
-	rng := rand.New(rand.NewSource(e.cfg.Seed + int64(iter)))
-	colors := make([]int8, e.g.N())
-	for i := range colors {
-		colors[i] = int8(rng.Intn(e.k))
-	}
-	return colors
+func (e *Engine) Scale() float64 {
+	return e.dp.ColorfulProbability() * float64(e.dp.Automorphisms())
 }
 
 // partitionVertices block-partitions the vertex set and precomputes the
 // ghost exchange lists.
-func (e *Engine) partitionVertices() {
-	n := int32(e.g.N())
+func (e *Engine) partitionVertices(g *graph.Graph) {
+	n := int32(g.N())
 	p := e.cfg.Ranks
 	e.bounds = make([]int32, p+1)
 	for r := 0; r <= p; r++ {
 		e.bounds[r] = int32(int64(n) * int64(r) / int64(p))
 	}
-	owner := func(v int32) int {
-		// Binary-search-free owner lookup via proportionality, corrected
-		// for rounding.
-		r := int(int64(v) * int64(p) / int64(n))
-		for r > 0 && v < e.bounds[r] {
-			r--
-		}
-		for r < p-1 && v >= e.bounds[r+1] {
-			r++
-		}
-		return r
-	}
 	e.needs = make([][][]int32, p)
-	seen := make([]int32, e.g.N()) // stamp per (s,r) pass
+	seen := make([]int32, g.N()) // stamp per (s,r) pass
 	stamp := int32(0)
 	for s := 0; s < p; s++ {
 		e.needs[s] = make([][]int32, p)
@@ -203,8 +202,8 @@ func (e *Engine) partitionVertices() {
 		// Vertices rank r needs: remote neighbors of its owned vertices.
 		stamp++
 		for v := e.bounds[r]; v < e.bounds[r+1]; v++ {
-			for _, u := range e.g.Adj(v) {
-				s := owner(u)
+			for _, u := range g.Adj(v) {
+				s := e.owner(u)
 				if s == r || seen[u] == stamp {
 					continue
 				}
@@ -219,8 +218,43 @@ func (e *Engine) partitionVertices() {
 	}
 }
 
+// owner returns the rank owning vertex v: a proportional guess
+// corrected for rounding, with no binary search.
+func (e *Engine) owner(v int32) int {
+	p := e.cfg.Ranks
+	n := e.bounds[p]
+	r := int(int64(v) * int64(p) / int64(n))
+	for r > 0 && v < e.bounds[r] {
+		r--
+	}
+	for r < p-1 && v >= e.bounds[r+1] {
+		r++
+	}
+	return r
+}
+
+// plan returns rank r's ghost-slot layout, building it on first use.
+func (e *Engine) plan(r int) *rankPlan {
+	pl := &e.plans[r]
+	pl.once.Do(func() {
+		pl.slot = make([]int32, e.bounds[e.cfg.Ranks])
+		for i := range pl.slot {
+			pl.slot[i] = -1
+		}
+		pl.off = make([]int, e.cfg.Ranks)
+		for s := range e.needs {
+			pl.off[s] = pl.n
+			for _, u := range e.needs[s][r] {
+				pl.slot[u] = int32(pl.n)
+				pl.n++
+			}
+		}
+	})
+	return pl
+}
+
 // GhostCounts returns, per rank, how many ghost vertices it receives per
-// DP step — diagnostics for partitioning quality.
+// exchanging DP step — diagnostics for partitioning quality.
 func (e *Engine) GhostCounts() []int {
 	out := make([]int, e.cfg.Ranks)
 	for r := range out {

@@ -3,7 +3,10 @@ package dist
 import (
 	"errors"
 	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/comb"
 	"repro/internal/dp"
@@ -80,7 +83,7 @@ func TestDistributedColorfulExact(t *testing.T) {
 		colors[i] = int8(crng.Intn(5))
 	}
 	wantColorful := exact.CountColorfulMappings(g, tr, colors)
-	gotColorful := res.PerIteration[0] * de.prob * float64(de.aut)
+	gotColorful := res.PerIteration[0] * de.Scale()
 	if diff := gotColorful - float64(wantColorful); diff > 1e-6 || diff < -1e-6 {
 		t.Fatalf("distributed colorful total %v, exact %d", gotColorful, wantColorful)
 	}
@@ -114,27 +117,31 @@ func TestCommunicationAccounting(t *testing.T) {
 	if r4.CommBytes <= 0 || r4.Messages <= 0 {
 		t.Fatal("multi-rank run reported no communication")
 	}
-	// Messages: per iteration, per internal DP step, each ordered rank
-	// pair with a non-empty needs list exchanges exactly one message
-	// (empty packets are skipped — on this dense random graph every pair
-	// communicates, so the count equals the old all-pairs formula).
-	internal := 0
-	for _, n := range four.tree.Nodes {
-		if !n.IsLeaf() {
-			internal++
-		}
+	// Messages: per iteration, per DP step whose passive child is
+	// internal, each ordered rank pair with a non-empty needs list
+	// exchanges exactly one message (empty packets are skipped — on this
+	// dense random graph every pair communicates). Steps whose passive
+	// child is a leaf send nothing: every rank derives leaf cells from
+	// the coloring.
+	exchanging := exchangingSteps(four)
+	if len(exchanging) == 0 {
+		t.Fatal("degenerate workload: no step exchanges rows")
 	}
-	pairs := 0
-	for s := 0; s < 4; s++ {
-		for r := 0; r < 4; r++ {
-			if s != r && len(four.NeedList(s, r)) > 0 {
-				pairs++
-			}
-		}
-	}
-	wantMsgs := int64(2 /*iters*/ * internal * pairs)
+	pairs := talkingPairs(four)
+	wantMsgs := int64(2 /*iters*/ * len(exchanging) * pairs)
 	if r4.Messages != wantMsgs {
 		t.Fatalf("messages = %d, want %d", r4.Messages, wantMsgs)
+	}
+	sends := recordSends(t, four, 0)
+	for i, n := range four.tree.Order {
+		want := 0
+		if exchanging[i] {
+			want = pairs
+		}
+		if sends[i] != want {
+			t.Fatalf("step %d (leaf=%v, leaf passive=%v): %d sends, want %d",
+				i, n.IsLeaf(), !n.IsLeaf() && n.Passive.IsLeaf(), sends[i], want)
+		}
 	}
 	// Partitioning bounds per-rank rows: with 4 ranks nobody should hold
 	// more rows than a single rank run holds.
@@ -202,15 +209,17 @@ func TestNoEmptyPacketsOnPathGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	internal := 0
-	for _, nd := range de.tree.Nodes {
-		if !nd.IsLeaf() {
-			internal++
-		}
-	}
-	wantMsgs := int64(iters * internal * nonEmptyPairs)
+	// One message per exchanging step (passive child internal) per
+	// talking pair; leaf-passive steps send nothing.
+	exchanging := exchangingSteps(de)
+	wantMsgs := int64(iters * len(exchanging) * nonEmptyPairs)
 	if res.Messages != wantMsgs {
 		t.Fatalf("messages = %d, want %d (no packets for empty needs lists)", res.Messages, wantMsgs)
+	}
+	for step, n := range recordSends(t, de, 0) {
+		if n > 0 && !exchanging[step] {
+			t.Fatalf("step %d sent %d packets, but its passive child is a leaf", step, n)
+		}
 	}
 	if res.CommBytes <= 0 {
 		t.Fatal("adjacent ranks should still ship row payloads")
@@ -252,7 +261,7 @@ func TestCommBytesUnchangedBySkip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Independent payload model: at each internal step the sender ships
+	// Independent payload model: at each exchanging step the sender ships
 	// the passive child's rows (width C(k, |passive|)) for its needs
 	// list, 8 bytes per value plus a 4-byte id, nil rows free. Rows are
 	// nil exactly when the sender holds no counts, so the model gives an
@@ -264,7 +273,7 @@ func TestCommBytesUnchangedBySkip(t *testing.T) {
 		if nd.IsLeaf() {
 			continue
 		}
-		width := comb.Binomial(de.k, nd.Passive.Size())
+		width := comb.Binomial(de.dp.Colors(), nd.Passive.Size())
 		for s := 0; s < 3; s++ {
 			for r := 0; r < 3; r++ {
 				if s != r {
@@ -413,5 +422,191 @@ func TestDistributedLabeledMatchesShared(t *testing.T) {
 		if got.PerIteration[i] != want.PerIteration[i] {
 			t.Fatalf("labeled distributed iter %d: %v vs %v", i, got.PerIteration[i], want.PerIteration[i])
 		}
+	}
+}
+
+// exchangingSteps marks the evaluation positions that exchange rows:
+// internal nodes whose passive child is internal.
+func exchangingSteps(de *Engine) map[int]bool {
+	out := map[int]bool{}
+	for i, n := range de.tree.Order {
+		if !n.IsLeaf() && !n.Passive.IsLeaf() {
+			out[i] = true
+		}
+	}
+	return out
+}
+
+// talkingPairs counts the ordered rank pairs with a non-empty needs list.
+func talkingPairs(de *Engine) int {
+	pairs := 0
+	for s := 0; s < de.Ranks(); s++ {
+		for r := 0; r < de.Ranks(); r++ {
+			if s != r && len(de.NeedList(s, r)) > 0 {
+				pairs++
+			}
+		}
+	}
+	return pairs
+}
+
+// sendCounter wraps a rank's exchange and counts its sends per step.
+type sendCounter struct {
+	Exchange
+	mu    *sync.Mutex
+	sends map[int]int
+}
+
+func (x sendCounter) Send(dst, step int, pk Packet) error {
+	x.mu.Lock()
+	x.sends[step]++
+	x.mu.Unlock()
+	return x.Exchange.Send(dst, step, pk)
+}
+
+// recordSends runs iteration iter on every rank in-process and returns
+// the packets sent per evaluation step.
+func recordSends(t *testing.T, de *Engine, iter int) map[int]int {
+	t.Helper()
+	mail := de.newMailbox()
+	var comm CommStats
+	var mu sync.Mutex
+	sends := map[int]int{}
+	errs := make([]error, de.Ranks())
+	var wg sync.WaitGroup
+	for r := 0; r < de.Ranks(); r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			ex := sendCounter{Exchange: &chanExchange{rank: r, mail: mail, comm: &comm}, mu: &mu, sends: sends}
+			_, errs[r] = de.RunRank(r, iter, ex, nil)
+		}(r)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return sends
+}
+
+// TestDistributedIdentityMatrix widens the keystone: at ranks
+// {1, 2, 3, 5} every iteration's rank-order sum must equal the local
+// engine's estimate bit for bit — for a single-vertex template (the root
+// is a leaf), a graph with fewer vertices than ranks (empty blocks),
+// labeled templates and Balanced partitions. TestShardIdentityMatrix
+// runs the same cases over the wire.
+func TestDistributedIdentityMatrix(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	single, err := tmpl.NewTree("K1", 1, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	labeledG := randomGraph(rng, 50, 170)
+	labeledG.Labels = make([]int32, labeledG.N())
+	for i := range labeledG.Labels {
+		labeledG.Labels[i] = int32(rng.Intn(2))
+	}
+	labeledT, err := tmpl.MustNamed("U5-2").WithLabels("U5-2L", []int32{0, 1, 0, 1, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name  string
+		g     *graph.Graph
+		t     *tmpl.Template
+		strat part.Strategy
+	}{
+		{"single-vertex", randomGraph(rng, 30, 80), single, part.OneAtATime},
+		{"fewer-vertices-than-ranks", graph.MustFromEdges(4, [][2]int32{{0, 1}, {1, 2}, {2, 3}, {3, 0}}, nil), tmpl.Path(3), part.OneAtATime},
+		{"U7-1", randomGraph(rng, 60, 200), tmpl.MustNamed("U7-1"), part.OneAtATime},
+		{"labeled", labeledG, labeledT, part.OneAtATime},
+		{"balanced", randomGraph(rng, 45, 150), tmpl.MustNamed("U7-2"), part.Balanced},
+	}
+	const iters, seed = 3, 17
+	for _, c := range cases {
+		cfg := dp.DefaultConfig()
+		cfg.Seed = seed
+		cfg.Strategy = c.strat
+		local, err := dp.New(c.g, c.t, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := local.Run(iters)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ranks := range []int{1, 2, 3, 5} {
+			de, err := New(c.g, c.t, Config{Ranks: ranks, Seed: seed, Strategy: c.strat})
+			if err != nil {
+				t.Fatalf("%s ranks=%d: %v", c.name, ranks, err)
+			}
+			got, err := de.Run(iters)
+			if err != nil {
+				t.Fatalf("%s ranks=%d: %v", c.name, ranks, err)
+			}
+			for i := range want.PerIteration {
+				if got.PerIteration[i] != want.PerIteration[i] {
+					t.Fatalf("%s ranks=%d iter %d: dist %v, local %v",
+						c.name, ranks, i, got.PerIteration[i], want.PerIteration[i])
+				}
+			}
+		}
+	}
+}
+
+// TestCancelledRankCompletesProtocol pins the cancellation contract: a
+// rank whose stop flag is set computes nothing, yet still sends and
+// receives every packet of the iteration, so its healthy peers finish
+// instead of waiting forever.
+func TestCancelledRankCompletesProtocol(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	g := randomGraph(rng, 60, 200)
+	de, err := New(g, tmpl.MustNamed("U7-1"), Config{Ranks: 3, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(exchangingSteps(de)) == 0 || talkingPairs(de) == 0 {
+		t.Fatal("degenerate workload: ranks never exchange")
+	}
+	var stop atomic.Bool
+	stop.Store(true)
+	mail := de.newMailbox()
+	var comm CommStats
+	results := make([]RankResult, 3)
+	errs := make([]error, 3)
+	var wg sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			var s *atomic.Bool
+			if r == 1 {
+				s = &stop
+			}
+			results[r], errs[r] = de.RunRank(r, 0, &chanExchange{rank: r, mail: mail, comm: &comm}, s)
+		}(r)
+	}
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("ranks still waiting 10s after one was cancelled")
+	}
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", r, err)
+		}
+	}
+	if results[1].Total != 0 {
+		t.Fatalf("cancelled rank reported total %v", results[1].Total)
+	}
+	if want := int64(len(exchangingSteps(de)) * talkingPairs(de)); comm.Messages.Load() != want {
+		t.Fatalf("%d messages, want the full protocol's %d", comm.Messages.Load(), want)
 	}
 }

@@ -6,28 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/part"
+	"repro/internal/comb"
 )
-
-// rankState is the per-rank (per-"process") view: table rows for owned
-// vertices only, plus the ghost row cache for the step in flight.
-type rankState struct {
-	r      int
-	lo, hi int32
-	// tables[node] holds rows for owned vertices, indexed by v - lo.
-	tables map[*part.Node][][]float64
-	// ghost[u] is the received passive-child row of remote vertex u.
-	ghost map[int32][]float64
-	// stop, when non-nil, is the run's cancellation flag; local DP
-	// sweeps poll it per vertex and fast-forward (the message-passing
-	// protocol still completes so no rank blocks on a vanished sender).
-	stop *atomic.Bool
-}
-
-// cancelled polls the rank's stop flag.
-func (st *rankState) cancelled() bool {
-	return st.stop != nil && st.stop.Load()
-}
 
 // RankResult reports one rank's share of one iteration.
 type RankResult struct {
@@ -35,8 +15,8 @@ type RankResult struct {
 	// iteration estimate is the rank totals summed in rank order divided
 	// by Engine.Scale().
 	Total float64
-	// MaxNodeRows is the largest non-nil row count the rank held for any
-	// single subtemplate table.
+	// MaxNodeRows is the largest row count the rank held for any single
+	// subtemplate table.
 	MaxNodeRows int
 }
 
@@ -70,7 +50,6 @@ func (e *Engine) RunContext(ctx context.Context, iters int) (Result, error) {
 		if stop != nil && stop.Load() {
 			break
 		}
-		colors := e.IterationColors(iter)
 		mail := e.newMailbox()
 		totals := make([]float64, p)
 		var wg sync.WaitGroup
@@ -79,9 +58,10 @@ func (e *Engine) RunContext(ctx context.Context, iters int) (Result, error) {
 			wg.Add(1)
 			go func(r int) {
 				defer wg.Done()
-				// The in-process transport cannot fail, so RunRank's
-				// error is structurally nil here.
-				rr, _ := e.RunRank(r, colors, &chanExchange{rank: r, mail: mail, comm: &comm}, stop)
+				// The in-process transport cannot fail and carries rows
+				// of the right width, so RunRank's error is structurally
+				// nil here.
+				rr, _ := e.RunRank(r, iter, &chanExchange{rank: r, mail: mail, comm: &comm}, stop)
 				totals[r] = rr.Total
 				for {
 					old := maxRows.Load()
@@ -117,109 +97,94 @@ func (e *Engine) RunContext(ctx context.Context, iters int) (Result, error) {
 	return res, ctx.Err()
 }
 
-// RunRank executes the rank-local DP for rank r over one iteration's
-// coloring, exchanging boundary rows through ex. This is the code a
+// RunRank executes rank r's share of iteration iter (coloring seed
+// Seed+iter), exchanging boundary rows through ex. This is the code a
 // shard worker process runs against a wire transport; the in-process
 // simulation runs it against buffered channels. The protocol per
 // evaluation-order position is:
 //
-//  1. internal node: receive the ghost packets this step needs (one per
-//     peer with a non-empty needs list toward r), then compute owned
-//     rows;
-//  2. any node: the moment its rows exist, eagerly send them toward the
-//     future step that consumes them as the passive child — the
-//     pipelined overlap of Chen et al.: packets for later steps travel
-//     while earlier steps are still computing.
+//  1. exchanging step (an internal node whose passive child is
+//     internal): receive the ghost packets this step needs, one per peer
+//     with a non-empty needs list toward r; then compute owned rows on
+//     dp's lane kernels, reading the ghost rows in place;
+//  2. any internal node some parent consumes as its passive child: the
+//     moment its rows exist, eagerly send them toward that parent's
+//     step — the pipelined overlap of Chen et al.: packets for later
+//     steps travel while earlier steps are still computing.
 //
-// Pairs whose needs list is empty never exchange (both sides consult
-// the same lists, so the skip cannot deadlock). On cancellation the
-// protocol still runs to completion with whatever rows exist, so no
-// healthy peer is ever stranded waiting; the iteration's result is
-// garbage and must be discarded by the caller.
-func (e *Engine) RunRank(r int, colors []int8, ex Exchange, stop *atomic.Bool) (RankResult, error) {
+// Pairs whose needs list is empty never exchange, and neither do steps
+// whose passive child is a leaf: every rank derives leaf cells from the
+// coloring itself. Both sides consult the same lists and schedule, so
+// the skips cannot deadlock. On cancellation the protocol still runs to
+// completion with nil rows, so no healthy peer is ever stranded
+// waiting; the iteration's result is garbage and must be discarded by
+// the caller.
+func (e *Engine) RunRank(r, iter int, ex Exchange, stop *atomic.Bool) (RankResult, error) {
 	p := e.cfg.Ranks
-	st := &rankState{
-		r: r, lo: e.bounds[r], hi: e.bounds[r+1],
-		tables: map[*part.Node][][]float64{},
-		ghost:  map[int32][]float64{},
-		stop:   stop,
-	}
-	remaining := map[*part.Node]int{}
-	for _, n := range e.tree.Nodes {
-		remaining[n] = n.Consumers
-	}
-	var rr RankResult
+	pl := e.plan(r)
+	pass := e.dp.NewRankPass(e.cfg.Seed+int64(iter), e.bounds[r], e.bounds[r+1], pl.slot, stop)
+	ghosts := make([][]float64, pl.n)
 	for i, node := range e.tree.Order {
-		if node.IsLeaf() {
-			e.initLeafRank(st, node, colors)
-		} else {
-			clear(st.ghost)
+		if e.exchanges[i] {
 			for src := 0; src < p; src++ {
-				if src == r || len(e.needs[src][r]) == 0 {
+				want := e.needs[src][r]
+				if src == r || len(want) == 0 {
 					continue
 				}
 				pk, err := ex.Recv(src, i)
 				if err != nil {
-					return rr, err
+					pass.Finish()
+					return RankResult{}, err
 				}
-				if len(pk.Rows) != len(e.needs[src][r]) {
-					return rr, fmt.Errorf("dist: rank %d step %d: packet from %d carries %d rows, need %d",
-						r, i, src, len(pk.Rows), len(e.needs[src][r]))
+				if err := e.checkPacket(pk, r, i, src); err != nil {
+					pass.Finish()
+					return RankResult{}, err
 				}
-				for j, u := range e.needs[src][r] {
-					if pk.Rows[j] != nil {
-						st.ghost[u] = pk.Rows[j]
-					}
-				}
+				copy(ghosts[pl.off[src]:], pk.Rows)
 			}
-			e.computeRank(st, node, colors)
 		}
+		pass.ComputeStep(i, ghosts)
 		// Pipelined eager send: this node's rows are final now; if a
 		// future step consumes them as the passive child, ship them
 		// immediately so the transfer overlaps the compute in between.
-		if step, ok := e.passiveStep[node]; ok {
-			rows := st.tables[node]
-			for dst := 0; dst < p; dst++ {
-				if dst == r {
-					continue
-				}
-				want := e.needs[r][dst]
-				if len(want) == 0 {
-					continue // empty packet: a real MPI run would not ship it
-				}
-				pk := Packet{Rows: make([][]float64, len(want))}
-				for j, u := range want {
-					pk.Rows[j] = rows[u-st.lo]
-				}
-				if err := ex.Send(dst, step, pk); err != nil {
-					return rr, err
-				}
+		step, ok := e.passiveStep[node]
+		if !ok {
+			continue
+		}
+		for dst := 0; dst < p; dst++ {
+			want := e.needs[r][dst]
+			if dst == r || len(want) == 0 {
+				continue // empty packet: a real MPI run would not ship it
 			}
-		}
-		nrows := 0
-		for _, row := range st.tables[node] {
-			if row != nil {
-				nrows++
-			}
-		}
-		if nrows > rr.MaxNodeRows {
-			rr.MaxNodeRows = nrows
-		}
-		if !node.IsLeaf() {
-			for _, ch := range []*part.Node{node.Active, node.Passive} {
-				remaining[ch]--
-				if remaining[ch] == 0 {
-					delete(st.tables, ch)
-				}
+			pk := Packet{Rows: make([][]float64, len(want))}
+			pass.Rows(node, want, pk.Rows)
+			if err := ex.Send(dst, step, pk); err != nil {
+				pass.Finish()
+				return RankResult{}, err
 			}
 		}
 	}
-	for _, row := range st.tables[e.tree.Root] {
-		for _, x := range row {
-			rr.Total += x
-		}
-	}
+	var rr RankResult
+	rr.Total, rr.MaxNodeRows = pass.Finish()
 	return rr, nil
+}
+
+// checkPacket validates a received packet against the needs list and the
+// step's passive-row width before the kernels read it: a packet from
+// another process is untrusted.
+func (e *Engine) checkPacket(pk Packet, r, step, src int) error {
+	if want := len(e.needs[src][r]); len(pk.Rows) != want {
+		return fmt.Errorf("dist: rank %d step %d: packet from %d carries %d rows, need %d",
+			r, step, src, len(pk.Rows), want)
+	}
+	w := int(comb.Binomial(e.dp.Colors(), e.tree.Order[step].Passive.Size()))
+	for _, row := range pk.Rows {
+		if row != nil && len(row) != w {
+			return fmt.Errorf("dist: rank %d step %d: packet from %d carries a row of width %d, want %d",
+				r, step, src, len(row), w)
+		}
+	}
+	return nil
 }
 
 // watchContext arms a cancellation flag the rank-local DP sweeps poll
@@ -238,83 +203,4 @@ func watchContext(ctx context.Context) (stop *atomic.Bool, release func()) {
 	}
 	cancel := context.AfterFunc(ctx, func() { b.Store(true) })
 	return &b, func() { cancel() }
-}
-
-// initLeafRank fills the leaf table rows for the rank's owned vertices,
-// applying label pruning for labeled templates.
-func (e *Engine) initLeafRank(st *rankState, node *part.Node, colors []int8) {
-	labeled := e.t.Labeled()
-	var want int32
-	if labeled {
-		want = e.t.Label(node.LeafVertex())
-	}
-	rows := make([][]float64, st.hi-st.lo)
-	for v := st.lo; v < st.hi; v++ {
-		if labeled && e.g.Label(v) != want {
-			continue
-		}
-		row := make([]float64, e.k)
-		row[colors[v]] = 1
-		rows[v-st.lo] = row
-	}
-	st.tables[node] = rows
-}
-
-// computeRank runs the DP step for one internal node over the rank's
-// owned vertices, reading the passive child's rows either locally or from
-// the ghost cache.
-func (e *Engine) computeRank(st *rankState, node *part.Node, colors []int8) {
-	act := st.tables[node.Active]
-	pas := st.tables[node.Passive]
-	split := e.splits[[2]int{node.Size(), node.Active.Size()}]
-	nc := split.NumSets
-	spn := split.SplitsPerSet
-	rows := make([][]float64, st.hi-st.lo)
-	for v := st.lo; v < st.hi; v++ {
-		if st.cancelled() {
-			break // iteration will be discarded; skip remaining compute
-		}
-		arow := act[v-st.lo]
-		if arow == nil {
-			continue
-		}
-		var buf []float64
-		for _, u := range e.g.Adj(v) {
-			var prow []float64
-			if u >= st.lo && u < st.hi {
-				prow = pas[u-st.lo]
-			} else {
-				prow = st.ghost[u]
-			}
-			if prow == nil {
-				continue
-			}
-			if buf == nil {
-				buf = make([]float64, nc)
-			}
-			for ci := 0; ci < nc; ci++ {
-				base := ci * spn
-				var s float64
-				for j := base; j < base+spn; j++ {
-					if av := arow[split.ActiveIdx[j]]; av != 0 {
-						s += av * prow[split.PassiveIdx[j]]
-					}
-				}
-				buf[ci] += s
-			}
-		}
-		if buf != nil {
-			nonzero := false
-			for _, x := range buf {
-				if x != 0 {
-					nonzero = true
-					break
-				}
-			}
-			if nonzero {
-				rows[v-st.lo] = buf
-			}
-		}
-	}
-	st.tables[node] = rows
 }

@@ -5,11 +5,30 @@ import "sync/atomic"
 // Packet carries the passive-child table rows of one sender's boundary
 // vertices to one receiver for one DP step. Rows follow the precomputed
 // needs-list order for the (sender, receiver) pair; a nil row means the
-// sender has no counts for that vertex. Rows are read-only once packed:
-// tables are immutable after their DP step, so transports may serialize
-// them lazily without copying.
+// sender has no counts for that vertex. A sent packet's rows alias the
+// sender's table, which lives only until the sender's own consuming
+// step, so a transport copies or serializes them before Send returns.
+// A received packet's rows are the receiver's to read in place.
 type Packet struct {
 	Rows [][]float64
+}
+
+// clone copies the packet's rows into one slab.
+func (p Packet) clone() Packet {
+	n := 0
+	for _, row := range p.Rows {
+		n += len(row)
+	}
+	slab := make([]float64, 0, n)
+	out := Packet{Rows: make([][]float64, len(p.Rows))}
+	for j, row := range p.Rows {
+		if row != nil {
+			start := len(slab)
+			slab = append(slab, row...)
+			out.Rows[j] = slab[start:len(slab):len(slab)]
+		}
+	}
+	return out
 }
 
 // PayloadBytes is the accounted payload volume of the packet: 8 bytes
@@ -29,7 +48,8 @@ func (p Packet) PayloadBytes() int64 {
 
 // Exchange moves boundary-row packets between ranks within one
 // iteration. Steps are indices into the partition tree's evaluation
-// order; only internal (non-leaf) positions ever exchange. Senders may
+// order; only internal positions whose passive child is internal ever
+// exchange. Senders may
 // ship a step's packet any time before the receiver needs it (the
 // pipelined eager send), so implementations must demultiplex by step
 // rather than assume arrival order. Send and Recv are called only for
@@ -37,10 +57,11 @@ func (p Packet) PayloadBytes() int64 {
 // travel, and both sides consult the same needs lists, so skipping them
 // cannot deadlock the protocol.
 type Exchange interface {
-	// Send ships the rows rank dst needs for the given step. It must not
-	// block indefinitely on a healthy peer (the in-process transport
-	// buffers one packet per step; the wire transport has a writer
-	// goroutine per peer).
+	// Send ships the rows rank dst needs for the given step, copying or
+	// serializing them before it returns. It must not block
+	// indefinitely on a healthy peer (the in-process transport buffers
+	// one packet per step; the wire transport has a writer goroutine per
+	// peer).
 	Send(dst, step int, pk Packet) error
 	// Recv returns the packet rank src sent for the given step.
 	Recv(src, step int) (Packet, error)
@@ -57,7 +78,9 @@ type CommStats struct {
 }
 
 // chanExchange is the in-process Exchange: one buffered channel per
-// (src, dst, step) triple with a non-empty needs list. A capacity-1
+// (src, dst, exchanging step) triple with a non-empty needs list. Send
+// copies the rows: they alias the sender's table, which the sender
+// releases once its own consuming step is done. A capacity-1
 // channel per triple means a sender never blocks (each triple carries
 // exactly one packet per iteration) and a receiver blocks only until
 // its peer ships the step — which it always does, even under
@@ -70,8 +93,9 @@ type chanExchange struct {
 }
 
 // mailbox holds the per-iteration channels: mail[src][dst][step].
-// Channels exist only for pairs with non-empty needs lists; a nil map
-// entry is a protocol bug (Send/Recv on a pair that should never talk).
+// Channels exist only for pairs with non-empty needs lists and for
+// exchanging steps; a missing entry is a protocol bug (Send/Recv on a
+// pair or step that should never talk).
 type mailbox [][]map[int]chan Packet
 
 // newMailbox builds the channel grid for one iteration.
@@ -84,8 +108,8 @@ func (e *Engine) newMailbox() mailbox {
 			if s == d || len(e.needs[s][d]) == 0 {
 				continue
 			}
-			m := make(map[int]chan Packet, len(e.internalSteps))
-			for _, step := range e.internalSteps {
+			m := make(map[int]chan Packet, len(e.exchangeSteps))
+			for _, step := range e.exchangeSteps {
 				m[step] = make(chan Packet, 1)
 			}
 			mail[s][d] = m
@@ -97,7 +121,7 @@ func (e *Engine) newMailbox() mailbox {
 func (x *chanExchange) Send(dst, step int, pk Packet) error {
 	x.comm.Messages.Add(1)
 	x.comm.Bytes.Add(pk.PayloadBytes())
-	x.mail[x.rank][dst][step] <- pk
+	x.mail[x.rank][dst][step] <- pk.clone()
 	return nil
 }
 

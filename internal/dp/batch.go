@@ -40,6 +40,13 @@ type batchState struct {
 	liveBytes int64
 	peakBytes int64
 	workers   int
+	// lo and hi bound the vertex block the traversal computes rows for:
+	// the whole graph, or one rank's owned block in a RankPass.
+	lo, hi int32
+	// remote, when non-nil, is a rank pass's passive-child read surface:
+	// computeNode binds it to the materialized passive child so remote
+	// neighbors read the ghost rows the rank received.
+	remote *rankTab
 	// keep retains every table and the coloring after run (no eager
 	// release) for callers that read them — KeepTables sampling and
 	// VertexCounts; they hand the state back with release.
@@ -111,6 +118,7 @@ func (e *Engine) newBatchState(arena *table.Arena, baseSeed int64, lanes, worker
 		leaves:    map[*part.Node]*leafLanes{},
 		remaining: map[*part.Node]int{},
 		workers:   workers,
+		hi:        int32(n),
 		totals:    make([]float64, lanes),
 	}
 	for j := 0; j < lanes; j++ {
@@ -154,54 +162,65 @@ func (st *batchState) run() {
 		return
 	}
 	for ni, n := range e.tree.Order {
-		if st.cancelled() {
-			st.abort()
+		if !st.step(ni, n) {
 			return
-		}
-		var nodeStart time.Time
-		if st.nodeTimes != nil {
-			nodeStart = time.Now()
-		}
-		if n.IsLeaf() && n != e.tree.Root {
-			// Implicit leaf: cells derive from the coloring via
-			// leafLanes — no leaf table to allocate, fill, or stream
-			// through the child kernels.
-			st.leaves[n] = st.newLeafLanes(n)
-			if st.nodeTimes != nil {
-				st.nodeTimes[ni] += time.Since(nodeStart)
-			}
-			continue
-		}
-		nc := int(comb.Binomial(e.k, n.Size()))
-		tab := table.NewMulti(e.cfg.TableKind, e.g.N(), nc, st.lanes, st.arena)
-		st.tabs[n] = tab
-		if n.IsLeaf() {
-			st.initLeaf(n, tab)
-		} else {
-			st.computeNode(n, tab)
-		}
-		if st.nodeTimes != nil {
-			st.nodeTimes[ni] += time.Since(nodeStart)
-		}
-		st.tablesAllocated++
-		st.rowsAllocated += tab.Rows()
-		if st.cancelled() {
-			// The pass aborted mid-node; the table is partial garbage.
-			st.abort()
-			return
-		}
-		st.liveBytes += tab.Bytes()
-		if st.liveBytes > st.peakBytes {
-			st.peakBytes = st.liveBytes
-		}
-		if !n.IsLeaf() {
-			st.releaseChildren(n)
 		}
 	}
 	st.tabs[e.tree.Root].Totals(st.totals)
 	if !st.keep {
 		st.release()
 	}
+}
+
+// step evaluates node n, at position ni of the tree's evaluation order,
+// over the vertex block [lo, hi) and releases the children it consumed.
+// On cancellation it aborts the state and reports false.
+func (st *batchState) step(ni int, n *part.Node) bool {
+	e := st.e
+	if st.cancelled() {
+		st.abort()
+		return false
+	}
+	var nodeStart time.Time
+	if st.nodeTimes != nil {
+		nodeStart = time.Now()
+	}
+	if n.IsLeaf() && n != e.tree.Root {
+		// Implicit leaf: cells derive from the coloring via leafLanes —
+		// no leaf table to allocate, fill, or stream through the child
+		// kernels.
+		st.leaves[n] = st.newLeafLanes(n)
+		if st.nodeTimes != nil {
+			st.nodeTimes[ni] += time.Since(nodeStart)
+		}
+		return true
+	}
+	nc := int(comb.Binomial(e.k, n.Size()))
+	tab := table.NewMulti(e.cfg.TableKind, e.g.N(), nc, st.lanes, st.arena)
+	st.tabs[n] = tab
+	if n.IsLeaf() {
+		st.initLeaf(n, tab)
+	} else {
+		st.computeNode(n, tab)
+	}
+	if st.nodeTimes != nil {
+		st.nodeTimes[ni] += time.Since(nodeStart)
+	}
+	st.tablesAllocated++
+	st.rowsAllocated += tab.Rows()
+	if st.cancelled() {
+		// The pass aborted mid-node; the table is partial garbage.
+		st.abort()
+		return false
+	}
+	st.liveBytes += tab.Bytes()
+	if st.liveBytes > st.peakBytes {
+		st.peakBytes = st.liveBytes
+	}
+	if !n.IsLeaf() {
+		st.releaseChildren(n)
+	}
+	return true
 }
 
 // abort releases every live table after a cancellation and marks the
@@ -261,7 +280,7 @@ func (st *batchState) initLeaf(n *part.Node, tab *table.Multi) {
 	if labeled {
 		want = e.t.Label(n.LeafVertex())
 	}
-	for v := int32(0); v < int32(e.g.N()); v++ {
+	for v := st.lo; v < st.hi; v++ {
 		if labeled && e.g.Label(v) != want {
 			continue
 		}
@@ -290,7 +309,8 @@ func (st *batchState) laneTabFor(n *part.Node) laneTab {
 }
 
 // computeNode fills an internal node's lane table from its children's
-// (Algorithm 2, lines 7-15), sharding vertices across workers.
+// (Algorithm 2, lines 7-15) over the block [lo, hi), sharding vertices
+// across workers.
 //
 // Workers never read the table being written (vertex passes read only
 // the children's completed tables), so for layouts that are unsafe for
@@ -304,11 +324,17 @@ func (st *batchState) computeNode(n *part.Node, tab *table.Multi) {
 		act:         st.laneTabFor(n.Active),
 		pas:         st.laneTabFor(n.Passive),
 	}
-	nVerts := int32(e.g.N())
+	if st.remote != nil {
+		if own, ok := ctx.pas.(*table.Multi); ok {
+			st.remote.own = own
+			ctx.pas = st.remote
+		}
+	}
+	lo, hi := st.lo, st.hi
 
 	if st.workers <= 1 {
 		sc := e.getScratch()
-		for v := int32(0); v < nVerts; v++ {
+		for v := lo; v < hi; v++ {
 			if st.cancelled() {
 				break
 			}
@@ -323,8 +349,9 @@ func (st *batchState) computeNode(n *part.Node, tab *table.Multi) {
 	if stage {
 		stagings = make([]*table.Multi, st.workers)
 	}
-	chunk := int32(chunkFor(int(nVerts), st.workers))
+	chunk := int32(chunkFor(int(hi-lo), st.workers))
 	var next atomic.Int32
+	next.Store(lo)
 	var wg sync.WaitGroup
 	for w := 0; w < st.workers; w++ {
 		wg.Add(1)
@@ -332,7 +359,7 @@ func (st *batchState) computeNode(n *part.Node, tab *table.Multi) {
 			defer wg.Done()
 			target := tab
 			if stage {
-				s := table.NewMulti(table.Hash, int(nVerts), ctx.nc, st.lanes, st.arena)
+				s := table.NewMulti(table.Hash, e.g.N(), ctx.nc, st.lanes, st.arena)
 				stagings[w] = s
 				target = s
 			}
@@ -340,10 +367,10 @@ func (st *batchState) computeNode(n *part.Node, tab *table.Multi) {
 			defer e.putScratch(sc)
 			for {
 				start := next.Add(chunk) - chunk
-				if start >= nVerts {
+				if start >= hi {
 					return
 				}
-				end := min(start+chunk, nVerts)
+				end := min(start+chunk, hi)
 				for v := start; v < end; v++ {
 					if st.cancelled() {
 						return

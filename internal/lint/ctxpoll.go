@@ -35,10 +35,11 @@ var CtxPoll = &Analyzer{
 }
 
 // heavyWorkCalls are the DP entry points whose invocation marks a loop
-// as long-running regardless of its header. RunRank, runGroup and
-// runShard are the distributed tiers' work horses: a loop driving
-// rank-local DP iterations or shard dispatch rounds burns per-iteration
-// work plus network round-trips, so it must be interruptible. Every
+// as long-running regardless of its header. RunRank, ComputeStep (the
+// rank pass's per-node driver), runGroup and runShard are the
+// distributed tiers' work horses: a loop driving rank-local DP
+// iterations or steps, or shard dispatch rounds, burns per-node work
+// plus network round-trips, so it must be interruptible. Every
 // name must be a function or method declared in internal/dp,
 // internal/dist or internal/shard (TestHeavyWorkCallsDeclared), so a
 // rename cannot silently drop a driver from the check.
@@ -53,6 +54,7 @@ var heavyWorkCalls = map[string]bool{
 	"RunConvergedPriorContext": true,
 	"VertexCountsContext":      true,
 	"RunRank":                  true,
+	"ComputeStep":              true,
 	"runGroup":                 true,
 	"runShard":                 true,
 }

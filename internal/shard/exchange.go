@@ -206,26 +206,18 @@ func drainOut(ch chan outFrame) {
 	}
 }
 
-// readLoop demuxes inbound row frames into (iter, step) slots.
+// readLoop decodes inbound row frames straight from the link and
+// demuxes them into (iter, step) slots.
 func (x *wireExchange) readLoop(l *peerLink) {
 	defer l.wg.Done()
 	for {
-		t, payload, err := readFrame(l.br)
+		m, err := readRowsFrame(l.br)
 		if err != nil {
 			// An EOF here is routine: the peer finished its iterations
 			// and closed — everything it ever owed this rank was
 			// delivered to the slots first, so only a recv that would
 			// still be waiting on this peer surfaces the error.
 			x.fail(l, fmt.Errorf("shard: recv from rank %d: %w", l.rank, err))
-			return
-		}
-		if t != msgRows {
-			x.fail(l, fmt.Errorf("shard: unexpected frame type %d on peer link to rank %d", t, l.rank))
-			return
-		}
-		m, err := decodeRows(payload)
-		if err != nil {
-			x.fail(l, fmt.Errorf("shard: malformed rows from rank %d: %w", l.rank, err))
 			return
 		}
 		// Cap-1 slot, one packet per (src-link, iter, step) by protocol;

@@ -30,11 +30,13 @@ type workerError struct{ msg string }
 func (e workerError) Error() string { return "shard: worker: " + e.msg }
 
 // excludable reports whether the error means "this shard cannot serve
-// the run right now" (draining, missing graph copy) — grounds for
-// excluding the shard and re-dispatching — rather than a deterministic
-// query error that would fail identically everywhere.
+// the run right now" (draining, missing graph copy, another protocol
+// version) — grounds for excluding the shard and re-dispatching —
+// rather than a deterministic query error that would fail identically
+// everywhere.
 func (e workerError) excludable() bool {
-	return strings.Contains(e.msg, "draining") || strings.Contains(e.msg, "not registered")
+	return strings.Contains(e.msg, "draining") || strings.Contains(e.msg, "not registered") ||
+		strings.Contains(e.msg, "protocol version")
 }
 
 // PoolOptions configures a coordinator pool.

@@ -1,8 +1,10 @@
 package shard
 
 import (
+	"bufio"
 	"context"
 	"errors"
+	"io"
 	"math"
 	"math/rand"
 	"net"
@@ -14,6 +16,7 @@ import (
 	"repro/internal/dp"
 	"repro/internal/exact"
 	"repro/internal/graph"
+	"repro/internal/part"
 	"repro/internal/tmpl"
 )
 
@@ -97,7 +100,7 @@ func TestWireRoundTrips(t *testing.T) {
 	}
 
 	rows := rowsMsg{Iter: 3, Step: 5, Rows: [][]float64{{1.5, 0, -2.25}, nil, {}, {7}}}
-	rt, err := decodeRows(encodeRows(rows))
+	rt, err := decodeRowsFrame(rowsFrame(encodeRows(rows)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -569,5 +572,163 @@ func TestShardConverged(t *testing.T) {
 	}
 	if len(out.PerIteration) != 0 || out.Shards != 0 {
 		t.Fatalf("converged prior still dispatched: %d iterations over %d shards", len(out.PerIteration), out.Shards)
+	}
+}
+
+// TestShardIdentityMatrix is internal/dist's TestDistributedIdentityMatrix
+// over TCP: at {1, 2, 3, 5} workers the wire stream must equal the local
+// engine's bit for bit — for a single-vertex template, a graph with
+// fewer vertices than ranks, a labeled template and a Balanced
+// partition — with the same message and byte accounting as the
+// in-process protocol.
+func TestShardIdentityMatrix(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	single, err := tmpl.NewTree("K1", 1, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	labeledG := randomGraph(rng, 50, 170)
+	labeledG.Labels = make([]int32, labeledG.N())
+	for i := range labeledG.Labels {
+		labeledG.Labels[i] = int32(rng.Intn(2))
+	}
+	labeledT, err := tmpl.MustNamed("U5-2").WithLabels("U5-2L", []int32{0, 1, 0, 1, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name  string
+		g     *graph.Graph
+		t     *tmpl.Template
+		strat part.Strategy
+	}{
+		{"single-vertex", randomGraph(rng, 30, 80), single, part.OneAtATime},
+		{"fewer-vertices-than-ranks", graph.MustFromEdges(4, [][2]int32{{0, 1}, {1, 2}, {2, 3}, {3, 0}}, nil), tmpl.Path(3), part.OneAtATime},
+		{"U7-1", randomGraph(rng, 60, 200), tmpl.MustNamed("U7-1"), part.OneAtATime},
+		{"labeled", labeledG, labeledT, part.OneAtATime},
+		{"balanced", randomGraph(rng, 45, 150), tmpl.MustNamed("U7-2"), part.Balanced},
+	}
+	const iters, seed = 3, 17
+	for _, c := range cases {
+		cfg := dp.DefaultConfig()
+		cfg.Seed = seed
+		cfg.Strategy = c.strat
+		local, err := dp.New(c.g, c.t, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := local.Run(iters)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ranks := range []int{1, 2, 3, 5} {
+			de, err := dist.New(c.g, c.t, dist.Config{Ranks: ranks, Seed: seed, Strategy: c.strat})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sim, err := de.Run(iters)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pool, _, _ := startFleet(t, c.g, ranks, WorkerOptions{})
+			out, err := pool.Count(context.Background(), Query{
+				GraphHash: graph.Hash(c.g), GraphN: c.g.N(),
+				Template: c.t, Strategy: c.strat, Seed: seed, Iterations: iters,
+			})
+			if err != nil {
+				t.Fatalf("%s ranks=%d: %v", c.name, ranks, err)
+			}
+			if len(out.PerIteration) != iters {
+				t.Fatalf("%s ranks=%d: %d iterations, want %d", c.name, ranks, len(out.PerIteration), iters)
+			}
+			for i := range want.PerIteration {
+				if out.PerIteration[i] != want.PerIteration[i] {
+					t.Fatalf("%s ranks=%d iter %d: wire %v, local %v",
+						c.name, ranks, i, out.PerIteration[i], want.PerIteration[i])
+				}
+			}
+			if out.Messages != sim.Messages || out.CommBytes != sim.CommBytes || out.MaxRankRows != sim.MaxRankRows {
+				t.Fatalf("%s ranks=%d: wire accounting (%d msgs, %d bytes, %d rows) != in-process (%d, %d, %d)",
+					c.name, ranks, out.Messages, out.CommBytes, out.MaxRankRows, sim.Messages, sim.CommBytes, sim.MaxRankRows)
+			}
+		}
+	}
+}
+
+// TestWorkerRefusesOtherVersion pins the refusal: a hello with the
+// right magic and another protocol version gets an err frame naming
+// both versions, while a bad magic still gets a silent close.
+func TestWorkerRefusesOtherVersion(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	g := randomGraph(rng, 20, 50)
+	_, addr := startWorker(t, g, WorkerOptions{})
+
+	send := func(h []byte) (msgType, []byte, error) {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
+		if err := writeFrame(conn, msgHello, h); err != nil {
+			t.Fatal(err)
+		}
+		return readFrame(bufio.NewReader(conn))
+	}
+
+	v1 := encodeHello(hello{Kind: kindControl, GraphHash: graph.Hash(g)})
+	v1[4] = 1 // the version byte follows the 4-byte magic
+	typ, payload, err := send(v1)
+	if err != nil || typ != msgErr {
+		t.Fatalf("v1 hello: frame %d, err %v; want an err frame", typ, err)
+	}
+	if msg, _ := decodeErr(payload); msg != "protocol version 1, want 2" {
+		t.Fatalf("v1 hello refused with %q", msg)
+	}
+
+	bad := encodeHello(hello{Kind: kindControl, GraphHash: graph.Hash(g)})
+	bad[0] ^= 0xff
+	if typ, _, err := send(bad); !errors.Is(err, io.EOF) {
+		t.Fatalf("bad magic: frame %d, err %v; want a silent close", typ, err)
+	}
+}
+
+// TestPoolExcludesOtherVersion: a pool whose only shard refuses every
+// hello as another protocol version excludes it and returns ErrNoShards
+// instead of hanging or retrying forever.
+func TestPoolExcludesOtherVersion(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	g := randomGraph(rng, 20, 50)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			c.SetDeadline(time.Now().Add(5 * time.Second))
+			readFrame(bufio.NewReader(c))
+			writeFrame(c, msgErr, encodeErr(versionError{got: wireVersion + 1}.Error()))
+			c.Close()
+		}
+	}()
+	pool := NewPool(PoolOptions{Logf: t.Logf})
+	pool.Register(ln.Addr().String(), []uint64{graph.Hash(g)})
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	out, err := pool.Count(ctx, Query{
+		GraphHash: graph.Hash(g), GraphN: g.N(),
+		Template: tmpl.Path(3), Seed: 1, Iterations: 2,
+	})
+	if !errors.Is(err, ErrNoShards) {
+		t.Fatalf("want ErrNoShards, got %v", err)
+	}
+	if len(out.FailedShards) != 1 || out.FailedShards[0] != ln.Addr().String() {
+		t.Fatalf("refusing shard not excluded: %+v", out)
 	}
 }

@@ -3,15 +3,15 @@
 // a real wire. A coordinator (the fasciad daemon) fans a query's
 // iterations out to a group of shard worker processes; each worker owns
 // a contiguous vertex block of the registered graph, runs the
-// rank-local DP (dist.Engine.RunRank) and exchanges boundary-vertex
-// passive rows with its peers over length-prefixed binary TCP framing,
-// in the precomputed needs-list order, with the per-node exchange
-// pipelined (packets for later DP steps travel while earlier steps
-// compute) and sends grouped adaptively per Chen et al.
-// (arXiv:1804.09764). Per-iteration estimates are bit-identical to the
-// in-process engine under the same seed, which keeps the serving
-// layer's MergeIterations and seed-keyed cache contracts intact across
-// local and sharded execution.
+// rank-local DP (dist.Engine.RunRank, on dp's lane kernels) and
+// exchanges boundary-vertex passive rows with its peers over
+// length-prefixed binary TCP framing, in the precomputed needs-list
+// order, with the per-node exchange pipelined (packets for later DP
+// steps travel while earlier steps compute) and sends grouped
+// adaptively per Chen et al. (arXiv:1804.09764). Per-iteration
+// estimates are bit-identical to the in-process engine under the same
+// seed, which keeps the serving layer's MergeIterations and seed-keyed
+// cache contracts intact across local and sharded execution.
 //
 // Failure handling is part of the protocol contract: losing a shard
 // connection marks the iterations it had not finished as failed; the
@@ -34,8 +34,10 @@ const (
 	// wireMagic opens every hello so a stray connection to the shard
 	// port fails fast instead of hanging the accept loop.
 	wireMagic = uint32(0xfa5c1a5d)
-	// wireVersion gates protocol compatibility.
-	wireVersion = 1
+	// wireVersion gates protocol compatibility. Version 2 stopped
+	// exchanging rows at steps whose passive child is a leaf, so ranks
+	// at versions 1 and 2 disagree on the step schedule.
+	wireVersion = 2
 	// maxFrameBytes bounds a single frame: a hostile or corrupt length
 	// prefix may force at most one bounded allocation. Row packets for
 	// huge needs lists dominate legitimate sizes; 1 GiB is far above any
@@ -241,13 +243,22 @@ func encodeHello(h hello) []byte {
 	return w.b
 }
 
+// versionError is a hello whose magic matched but whose protocol
+// version did not: a peer or coordinator from another release, which the
+// worker refuses with a reason instead of a bare close.
+type versionError struct{ got byte }
+
+func (e versionError) Error() string {
+	return fmt.Sprintf("protocol version %d, want %d", e.got, wireVersion)
+}
+
 func decodeHello(b []byte) (hello, error) {
 	r := rbuf{b: b}
 	if magic := r.u32(); r.err == nil && magic != wireMagic {
 		return hello{}, fmt.Errorf("shard: bad hello magic %#x", magic)
 	}
 	if v := r.u8(); r.err == nil && v != wireVersion {
-		return hello{}, fmt.Errorf("shard: protocol version %d, want %d", v, wireVersion)
+		return hello{}, versionError{got: v}
 	}
 	h := hello{Kind: r.u8(), GraphHash: r.u64(), RunID: r.u64(), Rank: r.u32()}
 	return h, r.err
@@ -326,7 +337,10 @@ func decodeRun(b []byte) (runRequest, error) {
 		}
 	}
 	np := r.u32()
-	if r.err == nil && np <= maxWireRanks {
+	// Each peer address carries a 4-byte length, so the remaining bytes
+	// bound the count as well as maxWireRanks does: a few-byte frame
+	// must not size a 4096-entry slice.
+	if r.err == nil && np <= maxWireRanks && int(np) <= (len(b)-r.off)/4 {
 		q.Peers = make([]string, 0, np)
 		for i := uint32(0); i < np; i++ {
 			q.Peers = append(q.Peers, r.str())
@@ -408,34 +422,134 @@ func encodeRows(m rowsMsg) []byte {
 	return w.b
 }
 
-func decodeRows(b []byte) (rowsMsg, error) {
-	r := rbuf{b: b}
-	m := rowsMsg{Iter: r.u32(), Step: r.u32()}
-	n := r.u32()
-	// Every row costs at least its 4-byte width header on the wire, so
-	// the count can never exceed the remaining bytes over 4. The looser
-	// n <= len(b) floor let a 1 MiB frame force a 24 MiB row-header
-	// allocation (24 bytes per slice header) before the first width
-	// read failed.
-	if r.err != nil || int(n) > (len(b)-r.off)/4 {
-		r.fail()
-		return rowsMsg{}, r.err
+// frameReader decodes one frame body straight from a link's buffered
+// reader, never past the body's declared length. Errors are sticky.
+type frameReader struct {
+	r    *bufio.Reader
+	left int // body bytes not yet consumed
+	err  error
+}
+
+func (d *frameReader) fail(err error) {
+	if d.err == nil {
+		d.err = err
 	}
-	m.Rows = make([][]float64, n)
-	for i := range m.Rows {
-		width := r.u32()
-		if width == ^uint32(0) {
+}
+
+func (d *frameReader) u32() uint32 {
+	if d.err != nil {
+		return 0
+	}
+	if d.left < 4 {
+		d.fail(fmt.Errorf("shard: truncated frame: %d bytes left, need 4", d.left))
+		return 0
+	}
+	b, err := d.r.Peek(4)
+	if err != nil {
+		d.fail(noEOF(err))
+		return 0
+	}
+	x := binary.LittleEndian.Uint32(b)
+	d.r.Discard(4)
+	d.left -= 4
+	return x
+}
+
+// f64s appends n little-endian float64s to dst, growing it only by what
+// the reader has buffered: the slab is sized from bytes received, never
+// from a length the frame claims alone. It doubles, so a slab is copied
+// about once in all and never holds more than twice the values
+// received, and it stops at the frame's remaining bytes, so an honest
+// packet's last slab has no slack.
+func (d *frameReader) f64s(dst []float64, n int) []float64 {
+	if d.err == nil && n > d.left/8 {
+		d.fail(fmt.Errorf("shard: truncated frame: %d bytes left, need %d", d.left, 8*n))
+	}
+	for n > 0 && d.err == nil {
+		b, err := d.r.Peek(min(8*n, d.r.Size()))
+		k := len(b) / 8
+		if k == 0 {
+			d.fail(noEOF(err))
+			break
+		}
+		if need := len(dst) + k; need > cap(dst) {
+			grown := make([]float64, len(dst), min(max(2*cap(dst), need), len(dst)+d.left/8))
+			copy(grown, dst)
+			dst = grown
+		}
+		for i := 0; i < k; i++ {
+			dst = append(dst, math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:])))
+		}
+		d.r.Discard(8 * k)
+		d.left -= 8 * k
+		n -= k
+	}
+	return dst
+}
+
+// noEOF turns an end of stream inside a frame into ErrUnexpectedEOF.
+func noEOF(err error) error {
+	if err == nil || err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
+}
+
+// readRowsFrame reads the next frame of a peer link, which must be a
+// rows frame, and decodes it straight from r: the row values land in one
+// slab per packet and each row is a slice of it, with no intermediate
+// payload buffer.
+func readRowsFrame(r *bufio.Reader) (rowsMsg, error) {
+	var hdr [5]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return rowsMsg{}, err
+	}
+	n := binary.LittleEndian.Uint32(hdr[:4])
+	if n < 1 || n > maxFrameBytes {
+		return rowsMsg{}, fmt.Errorf("shard: frame length %d outside [1, %d]", n, maxFrameBytes)
+	}
+	if t := msgType(hdr[4]); t != msgRows {
+		return rowsMsg{}, fmt.Errorf("shard: unexpected frame type %d on a peer link", t)
+	}
+	return readRows(r, int(n)-1)
+}
+
+// readRows decodes a rows frame body of size bytes from r.
+func readRows(r *bufio.Reader, size int) (rowsMsg, error) {
+	d := frameReader{r: r, left: size}
+	m := rowsMsg{Iter: d.u32(), Step: d.u32()}
+	count := d.u32()
+	// Every row costs at least its 4-byte width header on the wire, so
+	// the count can never exceed the remaining bytes over 4.
+	if d.err == nil && int(count) > d.left/4 {
+		d.fail(fmt.Errorf("shard: rows frame claims %d rows in %d bytes", count, d.left))
+	}
+	var widths []int32 // -1 marks a nil row
+	var vals []float64
+	for j := uint32(0); j < count && d.err == nil; j++ {
+		w := d.u32()
+		if w == ^uint32(0) {
+			widths = append(widths, -1)
 			continue
 		}
-		if r.err != nil || r.off+8*int(width) > len(b) {
-			r.fail()
-			return rowsMsg{}, r.err
-		}
-		row := make([]float64, width)
-		for j := range row {
-			row[j] = r.f64()
-		}
-		m.Rows[i] = row
+		// f64s refuses a width past the frame's remaining bytes, so a
+		// width that survives it fits in an int32.
+		vals = d.f64s(vals, int(w))
+		widths = append(widths, int32(w))
 	}
-	return m, r.err
+	if d.err == nil && d.left != 0 {
+		d.fail(fmt.Errorf("shard: rows frame has %d trailing bytes", d.left))
+	}
+	if d.err != nil {
+		return rowsMsg{}, d.err
+	}
+	m.Rows = make([][]float64, len(widths))
+	off := 0
+	for j, w := range widths {
+		if w >= 0 {
+			m.Rows[j] = vals[off : off+int(w) : off+int(w)]
+			off += int(w)
+		}
+	}
+	return m, nil
 }

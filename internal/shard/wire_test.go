@@ -1,9 +1,23 @@
 package shard
 
 import (
+	"bufio"
+	"bytes"
 	"runtime"
 	"testing"
 )
+
+// rowsFrame frames an encoded rows payload as a peer link carries it.
+func rowsFrame(payload []byte) []byte {
+	var buf bytes.Buffer
+	writeFrame(&buf, msgRows, payload)
+	return buf.Bytes()
+}
+
+// decodeRowsFrame runs the streamed peer-link decoder over one frame.
+func decodeRowsFrame(frame []byte) (rowsMsg, error) {
+	return readRowsFrame(bufio.NewReader(bytes.NewReader(frame)))
+}
 
 // allocBytes reports how many heap bytes fn allocates. TotalAlloc is
 // monotonic (GC never decreases it), so the delta is stable.
@@ -24,15 +38,15 @@ func TestDecodeRowsHostileRowCount(t *testing.T) {
 	w.u32(7)       // iter
 	w.u32(3)       // step
 	w.u32(1 << 20) // claimed row count
-	payload := append(w.b, make([]byte, 1<<20)...)
+	frame := rowsFrame(append(w.b, make([]byte, 1<<20)...))
 
 	var err error
-	alloc := allocBytes(func() { _, err = decodeRows(payload) })
+	alloc := allocBytes(func() { _, err = decodeRowsFrame(frame) })
 	if err == nil {
-		t.Fatal("decodeRows accepted a row count exceeding the wire-byte floor")
+		t.Fatal("the rows decoder accepted a row count exceeding the wire-byte floor")
 	}
 	if alloc > 4<<20 {
-		t.Errorf("decodeRows allocated %d bytes on a hostile 1 MiB frame; the length floor must reject it first", alloc)
+		t.Errorf("the rows decoder allocated %d bytes on a hostile 1 MiB frame; the length floor must reject it first", alloc)
 	}
 }
 
@@ -69,11 +83,47 @@ func TestDecodeRunHostileLabelCount(t *testing.T) {
 // slack: exactly the bytes its rows need.
 func TestDecodeRowsTightFrame(t *testing.T) {
 	m := rowsMsg{Iter: 1, Step: 2, Rows: [][]float64{{1.5}, nil, {2.5, -3.5}}}
-	got, err := decodeRows(encodeRows(m))
+	got, err := decodeRowsFrame(rowsFrame(encodeRows(m)))
 	if err != nil {
 		t.Fatalf("round-trip failed: %v", err)
 	}
 	if len(got.Rows) != 3 || got.Rows[1] != nil || got.Rows[2][1] != -3.5 {
 		t.Errorf("round-trip mismatch: %+v", got)
+	}
+}
+
+// TestRowsFrameStream decodes back-to-back frames through a reader whose
+// buffer is smaller than a row, so values arrive in several chunks and
+// each frame must end exactly where the next begins. A frame with
+// trailing bytes past its rows is refused.
+func TestRowsFrameStream(t *testing.T) {
+	wide := make([]float64, 11)
+	for i := range wide {
+		wide[i] = float64(i) - 2.5
+	}
+	msgs := []rowsMsg{
+		{Iter: 4, Step: 9, Rows: [][]float64{wide, nil, {7}}},
+		{Iter: 5, Step: 1, Rows: [][]float64{nil, {}, wide}},
+	}
+	var stream []byte
+	for _, m := range msgs {
+		stream = append(stream, rowsFrame(encodeRows(m))...)
+	}
+	br := bufio.NewReaderSize(bytes.NewReader(stream), 16)
+	for _, want := range msgs {
+		got, err := readRowsFrame(br)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(encodeRows(got), encodeRows(want)) {
+			t.Fatalf("decoded %+v, want %+v", got, want)
+		}
+	}
+	if _, err := readRowsFrame(br); err == nil {
+		t.Fatal("decoded a frame past the end of the stream")
+	}
+	trailing := rowsFrame(append(encodeRows(msgs[0]), 0))
+	if _, err := decodeRowsFrame(trailing); err == nil {
+		t.Fatal("accepted a rows frame with a trailing byte")
 	}
 }

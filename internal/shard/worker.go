@@ -220,6 +220,15 @@ func (w *Worker) handleConn(c net.Conn) {
 	}
 	h, err := decodeHello(payload)
 	if err != nil {
+		// A matching magic with another version is a coordinator or
+		// peer from another release: say why before closing, so it
+		// excludes this shard instead of reading a bare EOF. A bad
+		// magic is a stray connection and gets the silent close.
+		var ve versionError
+		if errors.As(err, &ve) {
+			replyErr(c, ve.Error())
+			return
+		}
 		c.Close()
 		return
 	}
@@ -401,8 +410,7 @@ func (w *Worker) runShard(c net.Conn, br *bufio.Reader, reply func(msgType, []by
 		if run.stopped() {
 			return
 		}
-		colors := eng.IterationColors(it)
-		rr, err := eng.RunRank(r, colors, iterExchange{x: run.x, iter: it}, &run.stop)
+		rr, err := eng.RunRank(r, it, iterExchange{x: run.x, iter: it}, &run.stop)
 		if err != nil {
 			if !run.stopped() {
 				w.logf("shard: run %d rank %d iter %d: %v", q.RunID, r, it, err)
@@ -519,8 +527,12 @@ func (w *Worker) handlePeer(c net.Conn, br *bufio.Reader, h hello) {
 
 // connectPeers establishes this rank's peer links: dial every lower
 // rank the needs lists say we exchange with, accept from every such
-// higher rank; pairs with empty needs in both directions never connect.
+// higher rank; pairs with empty needs in both directions never connect,
+// and no pair does when no step of the template exchanges rows.
 func (w *Worker) connectPeers(run *workerRun, eng *dist.Engine, q runRequest) error {
+	if eng.ExchangeSteps() == 0 {
+		return nil
+	}
 	p := int(q.Ranks)
 	r := int(q.Rank)
 	wanted := make([]bool, p)
