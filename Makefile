@@ -114,6 +114,8 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzRowsFrame -fuzztime=$(FUZZTIME) ./internal/shard
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeRun -fuzztime=$(FUZZTIME) ./internal/shard
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeHello -fuzztime=$(FUZZTIME) ./internal/shard
+	$(GO) test -run='^$$' -fuzz=FuzzCountRequest -fuzztime=$(FUZZTIME) ./internal/serve
+	$(GO) test -run='^$$' -fuzz=FuzzShardRegistration -fuzztime=$(FUZZTIME) ./internal/serve
 
 # fasciad end to end under -race: boot on an ephemeral port, count,
 # cache hit, residual overlap, SIGTERM drain, goroutine-leak check.

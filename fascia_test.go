@@ -520,3 +520,38 @@ func TestCountCactusPublic(t *testing.T) {
 		t.Fatal("4-cycle accepted")
 	}
 }
+
+// TestNewCactusTemplate pins which shapes count as triangle cacti: trees,
+// the triangle, tailed triangles and the bowtie are accepted; a longer
+// cycle, two triangles sharing an edge, and malformed edge lists are
+// rejected.
+func TestNewCactusTemplate(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		k     int
+		edges [][2]int
+		ok    bool
+	}{
+		{"path", 4, [][2]int{{0, 1}, {1, 2}, {2, 3}}, true},
+		{"triangle", 3, [][2]int{{0, 1}, {1, 2}, {0, 2}}, true},
+		{"tail", 5, [][2]int{{0, 1}, {1, 2}, {0, 2}, {0, 3}, {3, 4}}, true},
+		{"bowtie", 5, [][2]int{{0, 1}, {1, 2}, {0, 2}, {0, 3}, {3, 4}, {0, 4}}, true},
+		{"c4", 4, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}}, false},
+		{"diamond", 4, [][2]int{{0, 1}, {1, 2}, {0, 2}, {1, 3}, {2, 3}}, false},
+		{"disconnected", 4, [][2]int{{0, 1}, {2, 3}}, false},
+		{"duplicate", 3, [][2]int{{0, 1}, {1, 0}, {1, 2}}, false},
+		{"self-loop", 2, [][2]int{{0, 0}, {0, 1}}, false},
+		{"out-of-range", 2, [][2]int{{0, 5}}, false},
+	} {
+		_, err := NewCactusTemplate(c.name, c.k, c.edges)
+		if (err == nil) != c.ok {
+			t.Errorf("%s: accepted = %v, want %v (err %v)", c.name, err == nil, c.ok, err)
+		}
+	}
+	for tail := 0; tail <= 3; tail++ {
+		tt := TailedTriangleTemplate(tail)
+		if tt.K() != 3+tail || tt.NumEdges() != 3+tail || tt.CheckCactus() != nil {
+			t.Errorf("TailedTriangleTemplate(%d) = %v, not a %d-vertex triangle cactus", tail, tt, 3+tail)
+		}
+	}
+}

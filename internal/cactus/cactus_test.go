@@ -1,3 +1,8 @@
+// Package cactus holds the tests of the triangle-cactus counting path:
+// templates built by the root package's cactus constructors and counted
+// by the tree-decomposition (bag) DP of internal/dp. The directory has no
+// code of its own; the tests pin the same guarantees the dedicated
+// triangle-merge engine once gave, against the code that now serves them.
 package cactus
 
 import (
@@ -5,6 +10,9 @@ import (
 	"math/rand"
 	"testing"
 
+	fascia "repro"
+	"repro/internal/dp"
+	"repro/internal/exact"
 	"repro/internal/graph"
 )
 
@@ -26,59 +34,43 @@ func complete(n int) *graph.Graph {
 	return graph.MustFromEdges(n, edges, nil)
 }
 
-func bowtie() *Template {
-	// Two triangles sharing vertex 0.
-	return Must("bowtie", 5, [][2]int{{0, 1}, {1, 2}, {0, 2}, {0, 3}, {3, 4}, {0, 4}})
+func mustCactus(t *testing.T, name string, k int, edges [][2]int) *fascia.CactusTemplate {
+	t.Helper()
+	tpl, err := fascia.NewCactusTemplate(name, k, edges)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return tpl
 }
 
-func TestValidation(t *testing.T) {
-	// Pure trees are valid cacti.
-	if _, err := New("path", 4, [][2]int{{0, 1}, {1, 2}, {2, 3}}); err != nil {
+func bowtie(t *testing.T) *fascia.CactusTemplate {
+	// Two triangles sharing vertex 0.
+	return mustCactus(t, "bowtie", 5, [][2]int{{0, 1}, {1, 2}, {0, 2}, {0, 3}, {3, 4}, {0, 4}})
+}
+
+// newEngine builds the DP engine CountCactus runs for tpl, with the
+// given color count (0 means the template size) and seed.
+func newEngine(t *testing.T, g *graph.Graph, tpl *fascia.CactusTemplate, colors int, seed int64) *dp.Engine {
+	t.Helper()
+	cfg := dp.DefaultConfig()
+	cfg.Colors = colors
+	cfg.Seed = seed
+	e, err := dp.New(g, tpl, cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Triangle, tailed triangle, bowtie: valid.
-	if Triangle().Triangles() != 1 {
-		t.Fatal("triangle not recognized")
-	}
-	if TailedTriangle(2).Triangles() != 1 {
-		t.Fatal("tailed triangle not recognized")
-	}
-	if bowtie().Triangles() != 2 {
-		t.Fatal("bowtie should have two triangle blocks")
-	}
-	// C4 (square): one block with 4 vertices, rejected.
-	if _, err := New("c4", 4, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}}); err == nil {
-		t.Fatal("4-cycle accepted")
-	}
-	// Two triangles sharing an edge (K4 minus an edge): 4-vertex block.
-	if _, err := New("diamond", 4, [][2]int{{0, 1}, {1, 2}, {0, 2}, {1, 3}, {2, 3}}); err == nil {
-		t.Fatal("diamond accepted")
-	}
-	// Disconnected.
-	if _, err := New("disc", 4, [][2]int{{0, 1}, {2, 3}}); err == nil {
-		t.Fatal("disconnected accepted")
-	}
-	// Duplicate edge / self loop / out of range.
-	if _, err := New("dup", 3, [][2]int{{0, 1}, {1, 0}, {1, 2}}); err == nil {
-		t.Fatal("duplicate edge accepted")
-	}
-	if _, err := New("loop", 2, [][2]int{{0, 0}, {0, 1}}); err == nil {
-		t.Fatal("self loop accepted")
-	}
-	if _, err := New("oob", 2, [][2]int{{0, 5}}); err == nil {
-		t.Fatal("out-of-range accepted")
-	}
+	return e
 }
 
 func TestAutomorphismsKnown(t *testing.T) {
 	cases := []struct {
-		t    *Template
+		t    *fascia.CactusTemplate
 		want int64
 	}{
-		{Triangle(), 6},        // S3
-		{TailedTriangle(1), 2}, // swap the two free triangle vertices
-		{bowtie(), 8},          // 2 per triangle × swap triangles
-		{Must("p3", 3, [][2]int{{0, 1}, {1, 2}}), 2},
+		{fascia.TriangleTemplate(), 6},        // S3
+		{fascia.TailedTriangleTemplate(1), 2}, // swap the two free triangle vertices
+		{bowtie(t), 8},                        // 2 per triangle × swap triangles
+		{mustCactus(t, "p3", 3, [][2]int{{0, 1}, {1, 2}}), 2},
 	}
 	for _, c := range cases {
 		if got := c.t.Automorphisms(); got != c.want {
@@ -89,15 +81,15 @@ func TestAutomorphismsKnown(t *testing.T) {
 
 func TestExactTriangleCounts(t *testing.T) {
 	// Triangles in K4: C(4,3) = 4; in K5: 10.
-	if got := Count(complete(4), Triangle()); got != 4 {
+	if got := fascia.ExactCountCactus(complete(4), fascia.TriangleTemplate()); got != 4 {
 		t.Fatalf("triangles in K4 = %d, want 4", got)
 	}
-	if got := Count(complete(5), Triangle()); got != 10 {
+	if got := fascia.ExactCountCactus(complete(5), fascia.TriangleTemplate()); got != 10 {
 		t.Fatalf("triangles in K5 = %d, want 10", got)
 	}
 	// A triangle-free graph has none.
 	ring := graph.MustFromEdges(6, [][2]int32{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0}}, nil)
-	if got := Count(ring, Triangle()); got != 0 {
+	if got := fascia.ExactCountCactus(ring, fascia.TriangleTemplate()); got != 0 {
 		t.Fatalf("triangles in C6 = %d, want 0", got)
 	}
 }
@@ -106,25 +98,22 @@ func TestExactTriangleCounts(t *testing.T) {
 // colorful total must exactly match brute force, for triangle-bearing
 // templates on random graphs.
 func TestCactusColorfulExactEquivalence(t *testing.T) {
-	templates := []*Template{
-		Triangle(),
-		TailedTriangle(1),
-		TailedTriangle(2),
-		bowtie(),
+	templates := []*fascia.CactusTemplate{
+		fascia.TriangleTemplate(),
+		fascia.TailedTriangleTemplate(1),
+		fascia.TailedTriangleTemplate(2),
+		bowtie(t),
 		// Triangle with subtrees on two corners.
-		Must("tri-tree", 6, [][2]int{{0, 1}, {1, 2}, {0, 2}, {1, 3}, {2, 4}, {4, 5}}),
-		// Pure tree handled by the same engine.
-		Must("tree", 4, [][2]int{{0, 1}, {1, 2}, {1, 3}}),
+		mustCactus(t, "tri-tree", 6, [][2]int{{0, 1}, {1, 2}, {0, 2}, {1, 3}, {2, 4}, {4, 5}}),
+		// A pure tree is a cactus too.
+		mustCactus(t, "tree", 4, [][2]int{{0, 1}, {1, 2}, {1, 3}}),
 	}
 	for seed := int64(1); seed <= 6; seed++ {
 		n := 12 + int(seed)*3
 		g := randomG(rand.New(rand.NewSource(seed)), n, n*3)
 		for _, tpl := range templates {
-			e, err := NewEngine(g, tpl, Config{Seed: seed})
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := CountColorfulMappings(g, tpl, e.ColoringFor(seed*7))
+			e := newEngine(t, g, tpl, 0, seed)
+			want := exact.CountColorfulMappings(g, tpl, e.ColoringFor(seed*7))
 			got := e.ColorfulTotal(seed * 7)
 			if got != float64(want) {
 				t.Fatalf("seed %d %s: DP %v, exact %d", seed, tpl.Name(), got, want)
@@ -136,67 +125,76 @@ func TestCactusColorfulExactEquivalence(t *testing.T) {
 func TestCactusEstimateConverges(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	g := randomG(rng, 40, 200)
-	tpl := TailedTriangle(1)
-	want := float64(Count(g, tpl))
+	tpl := fascia.TailedTriangleTemplate(1)
+	want := float64(fascia.ExactCountCactus(g, tpl))
 	if want == 0 {
-		t.Skip("degenerate instance")
+		t.Fatal("degenerate instance: no tailed triangles")
 	}
-	e, err := NewEngine(g, tpl, Config{Seed: 5})
+	res, err := fascia.CountCactus(g, tpl, fascia.DefaultOptions().WithIterations(800).WithSeed(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Run(800)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res.Estimate-want)/want > 0.12 {
-		t.Fatalf("estimate %.1f, exact %.1f", res.Estimate, want)
+	if math.Abs(res.Count-want)/want > 0.12 {
+		t.Fatalf("estimate %.1f, exact %.1f", res.Count, want)
 	}
 }
 
 func TestCactusMatchesTreeEngineOnTrees(t *testing.T) {
-	// For pure trees the cactus engine must agree with exhaustive counts
-	// exactly per coloring (sanity that edge merges alone are correct).
+	// For pure trees the bag DP must agree exactly, per coloring, with
+	// exhaustive counts and with the partition-tree DP.
 	rng := rand.New(rand.NewSource(6))
 	g := randomG(rng, 20, 50)
-	tpl := Must("star4", 4, [][2]int{{0, 1}, {0, 2}, {0, 3}})
-	e, err := NewEngine(g, tpl, Config{Seed: 2})
+	tpl := mustCactus(t, "star4", 4, [][2]int{{0, 1}, {0, 2}, {0, 3}})
+	cfg := dp.DefaultConfig()
+	cfg.Seed = 2
+	cfg.ForceBagDP = true
+	bagEng, err := dp.New(g, tpl, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := CountColorfulMappings(g, tpl, e.ColoringFor(9))
-	if got := e.ColorfulTotal(9); got != float64(want) {
-		t.Fatalf("tree via cactus engine: %v vs %d", got, want)
+	if bagEng.Decomposition() == nil {
+		t.Fatal("ForceBagDP engine did not take the bag path")
+	}
+	treeEng := newEngine(t, g, tpl, 0, 2)
+	want := exact.CountColorfulMappings(g, tpl, bagEng.ColoringFor(9))
+	got := bagEng.ColorfulTotal(9)
+	if got != float64(want) {
+		t.Fatalf("tree via bag DP: %v vs exact %d", got, want)
+	}
+	if tree := treeEng.ColorfulTotal(9); got != tree {
+		t.Fatalf("tree via bag DP: %v vs partition-tree DP %v", got, tree)
 	}
 }
 
 func TestEngineValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	g := randomG(rng, 10, 20)
-	if _, err := NewEngine(nil, Triangle(), Config{}); err == nil {
+	if _, err := dp.New(nil, fascia.TriangleTemplate(), dp.DefaultConfig()); err == nil {
 		t.Fatal("nil graph accepted")
 	}
-	if _, err := NewEngine(g, Triangle(), Config{Colors: 2}); err == nil {
+	cfg := dp.DefaultConfig()
+	cfg.Colors = 2
+	if _, err := dp.New(g, fascia.TriangleTemplate(), cfg); err == nil {
 		t.Fatal("too few colors accepted")
 	}
-	e, _ := NewEngine(g, Triangle(), Config{})
+	e := newEngine(t, g, fascia.TriangleTemplate(), 0, 0)
 	if _, err := e.Run(0); err == nil {
 		t.Fatal("zero iterations accepted")
 	}
 	if e.Automorphisms() != 6 {
 		t.Fatal("triangle aut wrong")
 	}
+	if _, err := fascia.CountCactus(nil, fascia.TriangleTemplate(), fascia.DefaultOptions()); err == nil {
+		t.Fatal("CountCactus accepted a nil graph")
+	}
 }
 
 func TestExtraColorsCactus(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := randomG(rng, 15, 45)
-	tpl := TailedTriangle(1)
-	e, err := NewEngine(g, tpl, Config{Colors: 6, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := CountColorfulMappings(g, tpl, e.ColoringFor(11))
+	tpl := fascia.TailedTriangleTemplate(1)
+	e := newEngine(t, g, tpl, 6, 1)
+	want := exact.CountColorfulMappings(g, tpl, e.ColoringFor(11))
 	if got := e.ColorfulTotal(11); got != float64(want) {
 		t.Fatalf("extra colors: DP %v, exact %d", got, want)
 	}

@@ -2,8 +2,11 @@ package dp
 
 import (
 	"context"
+	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/exact"
 	"repro/internal/graph"
@@ -12,35 +15,48 @@ import (
 
 // TestBagColorfulExactEquivalence is the bag DP's keystone: under a
 // fixed coloring its colorful-mapping total must EXACTLY equal
-// brute-force colorful enumeration, for every zoo motif and longer
-// cycles, on random graphs.
+// brute-force colorful enumeration, for every zoo motif, longer cycles,
+// templates whose decompositions hold join bags, and the triangle cacti
+// (tailed triangles, the bowtie), with exactly k colors and with two
+// extra, on random graphs.
 func TestBagColorfulExactEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	templates := []*tmpl.Template{}
 	for _, name := range tmpl.ZooNames() {
 		templates = append(templates, tmpl.MustZoo(name))
 	}
-	c5, err := tmpl.Cycle(5)
-	if err != nil {
-		t.Fatal(err)
+	for _, spec := range []string{
+		"c5",
+		"c6",
+		"0-1 1-2 2-0 1-3 2-4",     // pendants on two corners: joins over 2- and 1-vertex bags
+		"0-1 1-2 2-0 1-3 2-4 4-5", // a pendant and a 2-vertex path on two corners
+		"0-1 1-2 2-0 0-3 0-4",     // two pendants on one corner: a join over a 3-vertex bag
+		"0-1 1-2 2-0 0-3 3-4",     // triangle with a 2-vertex tail
+		"0-1 1-2 2-0 0-3 3-4 4-5", // triangle with a 3-vertex tail
+		"0-1 1-2 2-0 0-3 3-4 4-0", // bowtie: two triangles sharing vertex 0
+	} {
+		tr, err := tmpl.ParseGraph(spec, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		templates = append(templates, tr)
 	}
-	c6, err := tmpl.Cycle(6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	templates = append(templates, c5, c6)
 	for trial := 0; trial < 4; trial++ {
 		n := 10 + rng.Intn(15)
 		g := randomGraph(rng, n, n*3)
 		seed := rng.Int63()
 		for _, tr := range templates {
-			e, err := New(g, tr, DefaultConfig())
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := exact.CountColorfulMappings(g, tr, e.ColoringFor(seed))
-			if got := e.ColorfulTotal(seed); got != float64(want) {
-				t.Fatalf("trial %d template %s: bag DP total %v, exact %d", trial, tr.Name(), got, want)
+			for _, extra := range []int{0, 2} {
+				cfg := DefaultConfig()
+				cfg.Colors = tr.K() + extra
+				e, err := New(g, tr, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := exact.CountColorfulMappings(g, tr, e.ColoringFor(seed))
+				if got := e.ColorfulTotal(seed); got != float64(want) {
+					t.Fatalf("trial %d template %s colors %d: bag DP total %v, exact %d", trial, tr.Name(), cfg.Colors, got, want)
+				}
 			}
 		}
 	}
@@ -194,6 +210,84 @@ func TestBagCancellation(t *testing.T) {
 	}
 }
 
+// TestBagCancelMidIteration cancels a bag-DP run half-way through its
+// second iteration, on a C5 workload whose iterations take a few hundred
+// milliseconds: RunContext must return within 100ms of the cancel, with
+// Stats.Cancelled set, a seed-order prefix kept exactly as an
+// uncancelled run computes it, and no goroutine left behind.
+func TestBagCancelMidIteration(t *testing.T) {
+	if testing.Short() {
+		t.Skip("needs iterations of a few hundred milliseconds")
+	}
+	g := randomGraph(rand.New(rand.NewSource(41)), 1200, 8000)
+	c5, err := tmpl.Cycle(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Seed = 3
+	cfg.Mode = Inner // iterations run one after another
+	e, err := New(g, c5, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	first := e.scale(e.ColorfulTotal(cfg.Seed))
+	per := time.Since(start)
+
+	before := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var cancelTime time.Time
+	var timer *time.Timer
+	cfg.OnIteration = func(i int, _ float64, _ time.Duration) {
+		if i == 0 {
+			timer = time.AfterFunc(per/2, func() {
+				cancelTime = time.Now()
+				cancel()
+			})
+		}
+	}
+	e, err = New(g, c5, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.RunContext(ctx, 4)
+	returned := time.Now()
+	if timer != nil {
+		timer.Stop()
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if cancelTime.IsZero() {
+		t.Fatal("run finished before the cancel fired")
+	}
+	if lat := returned.Sub(cancelTime); lat > 100*time.Millisecond {
+		t.Errorf("returned %v after cancellation, want <= 100ms (iterations take %v)", lat, per)
+	}
+	if !res.Stats.Cancelled {
+		t.Error("Stats.Cancelled not set")
+	}
+	// The cancel lands in iteration 2 unless its timer runs late, so the
+	// run keeps iteration 1, or a longer seed-order prefix.
+	if n := len(res.PerIteration); n < 1 || n > 3 || res.PerIteration[0] != first {
+		t.Fatalf("kept %v, want a prefix of 1 to 3 iterations starting with %v", res.PerIteration, first)
+	}
+	for i := 1; i < len(res.PerIteration); i++ {
+		if want := e.scale(e.ColorfulTotal(cfg.Seed + int64(i))); res.PerIteration[i] != want {
+			t.Errorf("iteration %d kept %v, uncancelled %v", i, res.PerIteration[i], want)
+		}
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("goroutines leaked: %d before, %d after", before, after)
+	}
+}
+
 // TestBagConvergedAndProfile exercises the adaptive driver and profiler
 // through the bag path.
 func TestBagConvergedAndProfile(t *testing.T) {
@@ -224,7 +318,8 @@ func TestBagConvergedAndProfile(t *testing.T) {
 }
 
 // TestBagLabeledTemplates checks labeled pruning through the bag DP
-// against the generalized exact counter.
+// against the generalized exact counter, over several colorings so that
+// every template meets some colorful labeled occurrence.
 func TestBagLabeledTemplates(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	n := 16
@@ -237,17 +332,32 @@ func TestBagLabeledTemplates(t *testing.T) {
 		labels[i] = int32(rng.Intn(2))
 	}
 	g := graph.MustFromEdges(n, edges, labels)
-	tri, err := tmpl.Triangle().WithLabels("tri-aab", []int32{0, 0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := New(g, tri, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	seed := int64(29)
-	want := exact.CountColorfulMappings(g, tri, e.ColoringFor(seed))
-	if got := e.ColorfulTotal(seed); got != float64(want) {
-		t.Fatalf("labeled bag DP total %v, exact %d", got, want)
+	for _, c := range []struct {
+		t      *tmpl.Template
+		labels []int32
+	}{
+		{tmpl.Triangle(), []int32{0, 0, 1}},
+		{tmpl.TailedTriangle(), []int32{0, 1, 1, 0}},
+		{tmpl.Diamond(), []int32{0, 1, 1, 0}},
+	} {
+		tr, err := c.t.WithLabels(c.t.Name()+"-labeled", c.labels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := New(g, tr, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var seen int64
+		for seed := int64(29); seed < 29+16; seed++ {
+			want := exact.CountColorfulMappings(g, tr, e.ColoringFor(seed))
+			if got := e.ColorfulTotal(seed); got != float64(want) {
+				t.Fatalf("%s seed %d: labeled bag DP total %v, exact %d", tr.Name(), seed, got, want)
+			}
+			seen += want
+		}
+		if seen == 0 {
+			t.Fatalf("%s: no colorful labeled occurrence under any coloring; the test checks nothing", tr.Name())
+		}
 	}
 }

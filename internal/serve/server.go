@@ -13,6 +13,7 @@ import (
 	"time"
 
 	fascia "repro"
+	"repro/internal/comb"
 	"repro/internal/dp"
 	"repro/internal/shard"
 )
@@ -368,6 +369,10 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 
 // handleCount is the query path: validate → cache fast path → admission
 // control → run-slot wait → residual DP run → cache extend → respond.
+// It answers 200 (a complete or partial count), 400 (an undecodable body
+// or an invalid query), 404 (an unknown graph), 429 (the wait queue is
+// full), 503 (draining, or cancelled while queued) and 500 (the engine
+// failed on a query that passed validation).
 func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
 	if !s.beginQuery() {
 		s.rejected.Add(1)
@@ -421,8 +426,12 @@ func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, http.StatusBadRequest, "iterations %d out of range [1, %d]", iters, s.cfg.MaxIterations)
 		return
 	}
-	if req.Colors < 0 || req.Colors > 64 || (req.Colors > 0 && req.Colors < tr.K()) {
-		s.httpError(w, http.StatusBadRequest, "colors %d invalid for a %d-vertex template (want 0 or %d..64)", req.Colors, tr.K(), tr.K())
+	if tr.K() > comb.MaxColors {
+		s.httpError(w, http.StatusBadRequest, "template has %d vertices; at most %d are supported", tr.K(), comb.MaxColors)
+		return
+	}
+	if req.Colors < 0 || req.Colors > comb.MaxColors || (req.Colors > 0 && req.Colors < tr.K()) {
+		s.httpError(w, http.StatusBadRequest, "colors %d invalid for a %d-vertex template (want 0 or %d..%d)", req.Colors, tr.K(), tr.K(), comb.MaxColors)
 		return
 	}
 	timeout := s.cfg.DefaultTimeout

@@ -133,6 +133,11 @@ func TestServerEndToEnd(t *testing.T) {
 	}
 
 	// Error paths.
+	var spec strings.Builder
+	for i := 0; i < 32; i++ {
+		fmt.Fprintf(&spec, "%d-%d ", i, i+1)
+	}
+	path33 := spec.String()
 	for _, bad := range []struct {
 		req  CountRequest
 		code int
@@ -142,6 +147,8 @@ func TestServerEndToEnd(t *testing.T) {
 		{CountRequest{Graph: "g", Template: "0-1 2-3"}, http.StatusBadRequest},
 		{CountRequest{Graph: "g", Template: "0-1", Iterations: -4}, http.StatusBadRequest},
 		{CountRequest{Graph: "g", Template: "0-1 1-2", Colors: 2}, http.StatusBadRequest},
+		{CountRequest{Graph: "g", Template: "0-1 1-2", Colors: 40}, http.StatusBadRequest}, // above the engine's 32-color cap
+		{CountRequest{Graph: "g", Template: path33}, http.StatusBadRequest},                // 33 vertices need 33 colors
 		{CountRequest{Graph: "g", Template: "0-1", TemplateLabels: []int32{1, 2}}, http.StatusBadRequest},
 	} {
 		if code, _, _ := countQuery(t, ts, bad.req); code != bad.code {

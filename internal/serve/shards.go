@@ -27,6 +27,9 @@ type ShardListEntry struct {
 	Graphs []string `json:"graphs"`
 }
 
+// handleAddShard registers a worker: 200 with the shard count, or 400
+// for an undecodable body, a missing address, no graphs or a graph hash
+// that is not hex. It records the address without dialing it.
 func (s *Server) handleAddShard(w http.ResponseWriter, r *http.Request) {
 	var reg ShardRegistration
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&reg); err != nil {

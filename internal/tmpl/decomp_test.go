@@ -114,6 +114,7 @@ func TestAutomorphismsNonTree(t *testing.T) {
 		{"c6", mustCycle(t, 6), 12},
 		{"diamond", Diamond(), 4},
 		{"tailed-triangle", TailedTriangle(), 2},
+		{"bowtie", MustGraph("bowtie", 5, [][2]int{{0, 1}, {1, 2}, {0, 2}, {0, 3}, {3, 4}, {0, 4}}, nil), 8}, // 2 per triangle × swap triangles
 		{"k4", MustZoo("k4"), 24},
 		{"k5", mustClique(t, 5), 120},
 		{"k6", mustClique(t, 6), 720},

@@ -74,6 +74,32 @@ func TailedTriangle() *Template {
 	return MustGraph("tailed-triangle", 4, [][2]int{{0, 1}, {1, 2}, {0, 2}, {0, 3}}, nil)
 }
 
+// CheckCactus returns an error unless t is a triangle cactus, the
+// paper's "tree-like template with triangles": every biconnected block
+// is a single edge or a triangle. A connected template is one exactly
+// when no edge lies in two triangles and the triangles span its cycle
+// space, that is, their count equals the cyclomatic number m-k+1.
+func (t *Template) CheckCactus() error {
+	triangles := 0
+	for _, e := range t.Edges() {
+		shared := 0
+		for _, w := range t.adj[e[0]] {
+			if t.HasEdge(int(w), e[1]) {
+				shared++
+			}
+		}
+		if shared > 1 {
+			return fmt.Errorf("tmpl: %s is not a triangle cactus: edge %d-%d lies in %d triangles", t.name, e[0], e[1], shared)
+		}
+		triangles += shared
+	}
+	triangles /= 3 // each triangle was seen from its three edges
+	if cyc := t.NumEdges() - t.K() + 1; cyc != triangles {
+		return fmt.Errorf("tmpl: %s is not a triangle cactus: cyclomatic number %d but %d triangles", t.name, cyc, triangles)
+	}
+	return nil
+}
+
 // ZooNames lists the size-3/4 motif zoo in canonical order. Each name is
 // accepted by Zoo, ParseGraph, and exact.CountMotif.
 func ZooNames() []string {
