@@ -13,8 +13,10 @@ import (
 type DistributedResult struct {
 	// Count is the estimated number of non-induced occurrences.
 	Count float64
-	// PerIteration holds each iteration's estimate (bit-identical to the
-	// shared-memory engine under the same seed).
+	// PerIteration holds each iteration's estimate: bit-identical to the
+	// shared-memory engine under the same seed while every count the DP
+	// sums stays below 2^53, where float64 addition is exact in any
+	// order.
 	PerIteration []float64
 	// CommBytes is the total inter-rank payload (ghost rows + ids).
 	CommBytes int64

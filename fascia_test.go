@@ -1,9 +1,12 @@
 package fascia
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/dp"
 )
 
 func testGraph(seed int64) *Graph {
@@ -125,6 +128,12 @@ func TestInvalidOptionEnums(t *testing.T) {
 	bad.Parallel = ParallelMode(9)
 	if _, err := Count(g, tr, bad); err == nil {
 		t.Fatal("bad parallel mode accepted")
+	}
+	bad = DefaultOptions()
+	bad.Colors = 32
+	var wide *dp.RowWidthError
+	if _, err := Count(g, PathTemplate(12), bad); !errors.As(err, &wide) {
+		t.Fatalf("32 colors on a 12-vertex path: got %v, want a row-width error", err)
 	}
 }
 

@@ -22,6 +22,13 @@ import "fmt"
 // fit comfortably.
 const MaxColors = 32
 
+// MaxRowCells caps the width of one DP table row: a template and color
+// count whose rows could hold more cells are refused before anything is
+// allocated. 2^20 cells is 8 MiB per dense row, far above the paper's
+// templates (C(12, 6) = 924 cells) yet low enough that the per-worker
+// scratch rows, which are as wide as the widest table row, stay small.
+const MaxRowCells = 1 << 20
+
 // binomial[n][r] = C(n, r) for 0 <= n <= MaxColors, 0 <= r <= n.
 var binomial [MaxColors + 1][MaxColors + 1]int64
 

@@ -57,6 +57,9 @@ func New(g *DiGraph, t *DiTemplate, cfg Config) (*Engine, error) {
 	if k < t.K() || k > comb.MaxColors {
 		return nil, fmt.Errorf("directed: invalid color count %d for template size %d", k, t.K())
 	}
+	if err := dp.CheckRowWidth(t.K(), k); err != nil {
+		return nil, err
+	}
 	// Sharing must stay off: merged nodes lose the vertex identity the
 	// arc-direction lookup needs.
 	tree, err := part.Build(t.Skeleton(), cfg.Strategy, false)

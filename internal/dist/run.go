@@ -124,6 +124,9 @@ func (e *Engine) RunRank(r, iter int, ex Exchange, stop *atomic.Bool) (RankResul
 	pl := e.plan(r)
 	pass := e.dp.NewRankPass(e.cfg.Seed+int64(iter), e.bounds[r], e.bounds[r+1], pl.slot, stop)
 	ghosts := make([][]float64, pl.n)
+	// One row-header slice serves every packet this iteration sends:
+	// each transport serializes or copies the rows before Send returns.
+	var out [][]float64
 	for i, node := range e.tree.Order {
 		if e.exchanges[i] {
 			for src := 0; src < p; src++ {
@@ -156,7 +159,10 @@ func (e *Engine) RunRank(r, iter int, ex Exchange, stop *atomic.Bool) (RankResul
 			if dst == r || len(want) == 0 {
 				continue // empty packet: a real MPI run would not ship it
 			}
-			pk := Packet{Rows: make([][]float64, len(want))}
+			if cap(out) < len(want) {
+				out = make([][]float64, len(want))
+			}
+			pk := Packet{Rows: out[:len(want)]}
 			pass.Rows(node, want, pk.Rows)
 			if err := ex.Send(dst, step, pk); err != nil {
 				pass.Finish()

@@ -7,8 +7,9 @@ import "sync/atomic"
 // needs-list order for the (sender, receiver) pair; a nil row means the
 // sender has no counts for that vertex. A sent packet's rows alias the
 // sender's table, which lives only until the sender's own consuming
-// step, so a transport copies or serializes them before Send returns.
-// A received packet's rows are the receiver's to read in place.
+// step, and the sender reuses the Rows slice for its next packet, so a
+// transport copies or serializes them before Send returns. A received
+// packet's rows are the receiver's to read in place.
 type Packet struct {
 	Rows [][]float64
 }
@@ -60,8 +61,8 @@ type Exchange interface {
 	// Send ships the rows rank dst needs for the given step, copying or
 	// serializing them before it returns. It must not block
 	// indefinitely on a healthy peer (the in-process transport buffers
-	// one packet per step; the wire transport has a writer goroutine per
-	// peer).
+	// one packet per step; the wire transport writes into the peer's
+	// socket, whose reader drains it continuously).
 	Send(dst, step int, pk Packet) error
 	// Recv returns the packet rank src sent for the given step.
 	Recv(src, step int) (Packet, error)

@@ -221,6 +221,38 @@ type Engine struct {
 	kept *batchState
 }
 
+// RowWidthError is New's error for a template and color count whose DP
+// rows could exceed comb.MaxRowCells cells.
+type RowWidthError struct {
+	K, Colors int   // template vertices and colors
+	Cells     int64 // cells in the widest row
+}
+
+func (e *RowWidthError) Error() string {
+	return fmt.Sprintf("dp: %d colors for a %d-vertex template allow rows of %d cells, above the %d-cell cap",
+		e.Colors, e.K, e.Cells, comb.MaxRowCells)
+}
+
+// CheckRowWidth returns a *RowWidthError when colors colors (0 = k) for
+// a k-vertex template allow a DP row wider than comb.MaxRowCells cells.
+// A partition-tree row over an h-vertex subtemplate holds C(colors, h)
+// cells and a bag-DP row at most as many, so the widest is C(colors, h)
+// at the h <= k nearest colors/2. It only does arithmetic, so a server
+// can refuse a query before admitting it. Color counts outside [k,
+// comb.MaxColors] are New's other errors; CheckRowWidth passes them.
+func CheckRowWidth(k, colors int) error {
+	if colors == 0 {
+		colors = k
+	}
+	if colors < k || colors > comb.MaxColors {
+		return nil
+	}
+	if cells := comb.Binomial(colors, min(k, colors/2)); cells > comb.MaxRowCells {
+		return &RowWidthError{K: k, Colors: colors, Cells: cells}
+	}
+	return nil
+}
+
 // New validates the configuration and precomputes the partition tree and
 // all combinatorial index tables.
 func New(g *graph.Graph, t *tmpl.Template, cfg Config) (*Engine, error) {
@@ -236,6 +268,9 @@ func New(g *graph.Graph, t *tmpl.Template, cfg Config) (*Engine, error) {
 	}
 	if k > comb.MaxColors {
 		return nil, fmt.Errorf("dp: %d colors exceeds supported maximum %d", k, comb.MaxColors)
+	}
+	if err := CheckRowWidth(t.K(), k); err != nil {
+		return nil, err
 	}
 	if t.Labeled() && g.Labels == nil {
 		return nil, fmt.Errorf("dp: labeled template requires a labeled graph")

@@ -2,11 +2,13 @@ package dp
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 	"time"
 
+	"repro/internal/comb"
 	"repro/internal/exact"
 	"repro/internal/graph"
 	"repro/internal/part"
@@ -219,6 +221,19 @@ func TestConfigValidation(t *testing.T) {
 	cfg.Colors = 40
 	if _, err := New(g, tmpl.Path(3), cfg); err == nil {
 		t.Error("too many colors accepted")
+	}
+	cfg = DefaultConfig()
+	cfg.Colors = 32
+	var wide *RowWidthError
+	if _, err := New(g, tmpl.Path(12), cfg); !errors.As(err, &wide) || wide.Cells != comb.Binomial(32, 12) {
+		t.Errorf("32 colors on a 12-vertex path: got %v, want a RowWidthError of C(32, 12) cells", err)
+	}
+	cfg.Colors = 22 // C(22, 11) = 705432 cells, under the cap
+	if err := CheckRowWidth(12, cfg.Colors); err != nil {
+		t.Errorf("22 colors on a 12-vertex template refused: %v", err)
+	}
+	if err := CheckRowWidth(23, 0); err == nil {
+		t.Error("a 23-vertex template at 23 colors (C(23, 11)-cell rows) passed the row-width cap")
 	}
 	lt, _ := tmpl.Path(3).WithLabels("l", []int32{0, 1, 0})
 	if _, err := New(g, lt, DefaultConfig()); err == nil {

@@ -17,7 +17,7 @@ import (
 // Loop classification, tuned to this codebase:
 //
 //   - `for range ch` exits when the channel closes — always fine (the
-//     writeLoop shape);
+//     drain-until-close shape);
 //   - a conditional `for cond {}` loop can exit when the condition
 //     flips — accepted;
 //   - an unconditional `for {}` loop must contain a reachable exit (a

@@ -67,7 +67,7 @@ func launchDone(ctx context.Context, in chan int) {
 	}()
 }
 
-// launchRange drains until close — the writeLoop shape; range over a
+// launchRange drains until close: range over a
 // channel exits when the sender closes it.
 func launchRange(in chan int) {
 	go func() {

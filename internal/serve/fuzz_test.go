@@ -10,6 +10,7 @@ import (
 	"time"
 
 	fascia "repro"
+	"repro/internal/dp"
 )
 
 // fuzzServer builds a fresh server per fuzz input: two tiny graphs ("g"
@@ -58,8 +59,10 @@ func checkErrorShape(t *testing.T, rec *httptest.ResponseRecorder) {
 
 // maxFuzzColors bounds the queries the count target runs: a tree
 // template counted with c colors allocates up to C(c, c/2) cells per
-// graph vertex and per scratch buffer, so the target keeps templates and
-// color counts to the paper's largest template size.
+// graph vertex and per scratch buffer, so among the queries the row-width
+// cap admits, the target runs only templates and color counts up to the
+// paper's largest template size. Queries over the cap are fuzzed: the
+// handler must refuse them before allocating.
 const maxFuzzColors = 12
 
 // FuzzCountRequest feeds arbitrary bodies to POST /v1/count. No input
@@ -77,6 +80,7 @@ func FuzzCountRequest(f *testing.F) {
 		`{"graph":"g","template":"0-1 1-2","colors":40}`,
 		`{"graph":"g","template":"0-1 1-2","colors":2}`,
 		`{"graph":"g","template":"0-1 1-2","colors":5}`,
+		`{"graph":"g","template":"0-1 1-2 2-3 3-4 4-5 5-6 6-7 7-8 8-9 9-10 10-11","colors":32}`,
 		`{"graph":"g","template":"0-1 1-2","iterations":5}`,
 		`{"graph":"g","template":"0-1 1-2","timeout_ms":1}`,
 		`{"graph":"g","template":"0-1 1-2","adaptive":-1}`,
@@ -94,7 +98,8 @@ func FuzzCountRequest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var req CountRequest
 		if json.NewDecoder(bytes.NewReader(body)).Decode(&req) == nil {
-			if tr, err := fascia.ParseTemplate("q", req.Template); err == nil && max(tr.K(), req.Colors) > maxFuzzColors {
+			if tr, err := fascia.ParseTemplate("q", req.Template); err == nil && max(tr.K(), req.Colors) > maxFuzzColors &&
+				dp.CheckRowWidth(tr.K(), req.Colors) == nil {
 				return
 			}
 		}

@@ -370,9 +370,10 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 // handleCount is the query path: validate → cache fast path → admission
 // control → run-slot wait → residual DP run → cache extend → respond.
 // It answers 200 (a complete or partial count), 400 (an undecodable body
-// or an invalid query), 404 (an unknown graph), 429 (the wait queue is
-// full), 503 (draining, or cancelled while queued) and 500 (the engine
-// failed on a query that passed validation).
+// or an invalid query, including a template and color count whose DP
+// rows would exceed comb.MaxRowCells cells), 404 (an unknown graph), 429
+// (the wait queue is full), 503 (draining, or cancelled while queued)
+// and 500 (the engine failed on a query that passed validation).
 func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
 	if !s.beginQuery() {
 		s.rejected.Add(1)
@@ -432,6 +433,10 @@ func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Colors < 0 || req.Colors > comb.MaxColors || (req.Colors > 0 && req.Colors < tr.K()) {
 		s.httpError(w, http.StatusBadRequest, "colors %d invalid for a %d-vertex template (want 0 or %d..%d)", req.Colors, tr.K(), tr.K(), comb.MaxColors)
+		return
+	}
+	if err := dp.CheckRowWidth(tr.K(), req.Colors); err != nil {
+		s.httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	timeout := s.cfg.DefaultTimeout

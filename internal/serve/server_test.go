@@ -606,3 +606,31 @@ func TestServerConcurrentCacheHits(t *testing.T) {
 	ts.Client().CloseIdleConnections()
 	checkGoroutines(t, before)
 }
+
+// TestCountRefusesWideRows pins the row-width cap at the handler: 32
+// colors for a 12-vertex path would make every DP row C(32, 12) ≈ 2.3e8
+// cells (1.8 GB), so the query is refused with a 400 before admission,
+// without the handler allocating anything of that size.
+func TestCountRefusesWideRows(t *testing.T) {
+	s := New(Config{Logf: func(string, ...any) {}})
+	if _, err := s.Registry().Add("g", fascia.ErdosRenyi(40, 80, 1)); err != nil {
+		t.Fatal(err)
+	}
+	body := []byte(`{"graph":"g","template":"0-1 1-2 2-3 3-4 4-5 5-6 6-7 7-8 8-9 9-10 10-11","colors":32,"iterations":1}`)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rec := post(s, "/v1/count", body)
+	runtime.ReadMemStats(&after)
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("status %d (%s), want 400", rec.Code, rec.Body.String())
+	}
+	if !strings.Contains(rec.Body.String(), "cap") {
+		t.Fatalf("400 body %q does not name the row-width cap", rec.Body.String())
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("refusing the query allocated %d bytes, want under 1 MiB", alloc)
+	}
+	if st := s.Stats(); st.Queries != 0 || st.Cache.Misses != 0 {
+		t.Fatalf("a refused query got past validation: stats %+v", st)
+	}
+}

@@ -9,29 +9,6 @@ import (
 	"repro/internal/dist"
 )
 
-// groupBudgetBytes is the adaptive-grouping flush threshold for the
-// pipelined sender: queued row frames accumulate in the socket buffer
-// until either the link goes idle (nothing else queued — latency wins)
-// or this many payload bytes are pending (bandwidth wins). Small
-// packets therefore coalesce into large writes while big packets flush
-// immediately — the effective group size adapts to the packet size, per
-// the grouped-communication scheme of Chen et al. (arXiv:1804.09764).
-const groupBudgetBytes = 128 << 10
-
-// outFrame is one queued send on a peer link.
-type outFrame struct {
-	payload []byte
-	// bytes is the dist cost-model payload size (8/value + 4/id), used
-	// for grouping decisions so the adaptive sizing is transport-honest.
-	bytes int64
-}
-
-// sendQueueDepth bounds the pipelined send queue per link. The eager
-// sender ships each DP node's rows once, so at most one packet per
-// internal tree node can be queued; 256 covers any template the DP can
-// run while still exerting backpressure against a stalled peer.
-const sendQueueDepth = 256
-
 // inboxKey addresses a packet slot: the exchange demuxes by (iteration,
 // step) because the pipelined eager sender ships packets out of consume
 // order, and slow ranks may still be reading iteration i packets while
@@ -42,22 +19,22 @@ type inboxKey struct {
 }
 
 // peerLink is one live TCP connection between two ranks of one run.
-// The writer goroutine drains out with adaptive group flushing; the
-// reader goroutine demuxes row frames into the owning exchange's inbox.
+// The run's rank goroutine writes row frames straight into bw; the
+// reader goroutine demuxes inbound row frames into the owning
+// exchange's inbox.
 type peerLink struct {
 	rank int // remote rank
 	conn net.Conn
 	// br carries over the handshake's buffered reader: bytes the hello
 	// exchange read ahead must not be lost to a fresh buffer.
-	br  *bufio.Reader
-	out chan outFrame
+	br *bufio.Reader
+	// bw buffers the rank goroutine's writes; only send touches it.
+	bw *bufio.Writer
 
 	closeOnce sync.Once
-	// writerDone closes when the writer goroutine has drained (or
-	// abandoned) its queue; the reader is reaped separately via wg
-	// because it only unblocks once the connection closes.
-	writerDone chan struct{}
-	wg         sync.WaitGroup
+	// wg reaps the reader, which only unblocks once the connection
+	// closes.
+	wg sync.WaitGroup
 
 	// Per-link failure: a link breaking (or its peer finishing and
 	// closing) must only affect traffic with that peer — a faster rank
@@ -69,9 +46,9 @@ type peerLink struct {
 	err    error
 	broken chan struct{}
 
-	// Grouping stats (writer goroutine only, read after wg.Wait).
-	groups        int64
-	groupedFrames int64
+	// frames counts the rows frames sent, each flushed at its end (rank
+	// goroutine only, read after the run's last send).
+	frames int64
 }
 
 func (l *peerLink) close() {
@@ -108,23 +85,21 @@ func newWireExchange(rank, ranks int, comm *dist.CommStats) *wireExchange {
 }
 
 // attach wires a peer connection into the exchange and starts its
-// reader and writer goroutines. br, when non-nil, is the handshake's
-// buffered reader (it may hold read-ahead frames).
+// reader goroutine. br, when non-nil, is the handshake's buffered
+// reader (it may hold read-ahead frames).
 func (x *wireExchange) attach(rank int, conn net.Conn, br *bufio.Reader) *peerLink {
 	if br == nil {
 		br = bufio.NewReaderSize(conn, 64<<10)
 	}
 	l := &peerLink{
 		rank: rank, conn: conn, br: br,
-		out:        make(chan outFrame, sendQueueDepth),
-		writerDone: make(chan struct{}),
-		broken:     make(chan struct{}),
+		bw:     bufio.NewWriterSize(conn, 64<<10),
+		broken: make(chan struct{}),
 	}
 	x.mu.Lock()
 	x.links[rank] = l
 	x.mu.Unlock()
 	l.wg.Add(1)
-	go x.writeLoop(l)
 	go x.readLoop(l)
 	return l
 }
@@ -157,55 +132,6 @@ func (x *wireExchange) slot(key inboxKey) chan dist.Packet {
 	return ch
 }
 
-// writeLoop drains the link's send queue into the socket with adaptive
-// group flushing: keep appending frames while more are queued and the
-// pending group is under budget, flush when the queue idles or the
-// budget fills.
-func (x *wireExchange) writeLoop(l *peerLink) {
-	defer close(l.writerDone)
-	bw := bufio.NewWriterSize(l.conn, 64<<10)
-	var pending int64
-	var pendingFrames int64
-	flush := func() error {
-		if pendingFrames == 0 {
-			return nil
-		}
-		if err := bw.Flush(); err != nil {
-			return err
-		}
-		l.groups++
-		l.groupedFrames += pendingFrames
-		pending, pendingFrames = 0, 0
-		return nil
-	}
-	for f := range l.out {
-		if err := writeFrame(bw, msgRows, f.payload); err != nil {
-			x.fail(l, fmt.Errorf("shard: send to rank %d: %w", l.rank, err))
-			go drainOut(l.out)
-			return
-		}
-		pending += f.bytes
-		pendingFrames++
-		if len(l.out) == 0 || pending >= groupBudgetBytes {
-			if err := flush(); err != nil {
-				x.fail(l, fmt.Errorf("shard: flush to rank %d: %w", l.rank, err))
-				go drainOut(l.out)
-				return
-			}
-		}
-	}
-	if err := flush(); err != nil {
-		x.fail(l, fmt.Errorf("shard: flush to rank %d: %w", l.rank, err))
-	}
-}
-
-// drainOut keeps a dead link's queue from blocking senders until the
-// exchange's failure propagates to the DP loop.
-func drainOut(ch chan outFrame) {
-	for range ch {
-	}
-}
-
 // readLoop decodes inbound row frames straight from the link and
 // demuxes them into (iter, step) slots.
 func (x *wireExchange) readLoop(l *peerLink) {
@@ -231,23 +157,27 @@ func (x *wireExchange) readLoop(l *peerLink) {
 	}
 }
 
-// send queues a packet toward dst for (iter, step).
+// send writes a packet toward dst for (iter, step) straight from its
+// rows into the link's buffer and flushes it. A packet larger than the
+// socket's send buffer blocks until the peer's kernel takes it; a
+// cancelled run unblocks the write by closing the connection.
 func (x *wireExchange) send(dst int, iter, step int, pk dist.Packet) error {
 	l := x.links[dst]
 	if l == nil {
 		return fmt.Errorf("shard: rank %d has no link to rank %d", x.rank, dst)
 	}
-	f := outFrame{
-		payload: encodeRows(rowsMsg{Iter: uint32(iter), Step: uint32(step), Rows: pk.Rows}),
-		bytes:   pk.PayloadBytes(),
-	}
 	select {
-	case l.out <- f:
 	case <-l.broken:
 		return x.linkErr(l)
+	default:
 	}
+	if err := writeRows(l.bw, uint32(iter), uint32(step), pk.Rows); err != nil {
+		x.fail(l, fmt.Errorf("shard: send to rank %d: %w", l.rank, err))
+		return x.linkErr(l)
+	}
+	l.frames++
 	x.comm.Messages.Add(1)
-	x.comm.Bytes.Add(f.bytes)
+	x.comm.Bytes.Add(pk.PayloadBytes())
 	return nil
 }
 
@@ -288,23 +218,15 @@ func (x *wireExchange) recv(src, iter, step int) (dist.Packet, error) {
 	}
 }
 
-// shutdown tears down every link exactly once: each writer drains and
-// flushes its remaining queue (delivering the data peers still need),
-// then the connections close and the goroutines are reaped. Safe to
-// call from the run-owner goroutine only.
+// shutdown tears down every link exactly once: every send flushed its
+// packet before returning, so the connections close at once and the
+// readers are reaped. Safe to call from the run-owner goroutine only.
 func (x *wireExchange) shutdown() {
 	x.shutOnce.Do(func() {
 		for _, l := range x.links {
 			if l == nil {
 				continue
 			}
-			close(l.out)
-		}
-		for _, l := range x.links {
-			if l == nil {
-				continue
-			}
-			<-l.writerDone // writer flushed (or failed) before the close below
 			l.close()
 			l.wg.Wait() // reader unblocks on the closed conn
 		}
@@ -313,8 +235,9 @@ func (x *wireExchange) shutdown() {
 
 // abortConns force-closes every live connection and poisons the
 // exchange, unblocking any rank goroutine parked in send or recv. Used
-// by cancellation; unlike shutdown it is safe from any goroutine and
-// leaves the writer goroutines to exit via their error paths.
+// by cancellation; unlike shutdown it is safe from any goroutine. A
+// rank goroutine blocked writing to a stalled peer returns from the
+// write once its connection closes.
 func (x *wireExchange) abortConns(err error) {
 	x.mu.Lock()
 	links := make([]*peerLink, 0, len(x.links))
@@ -330,17 +253,16 @@ func (x *wireExchange) abortConns(err error) {
 	}
 }
 
-// groupStats sums the adaptive grouping counters across links. Call
-// only after closeAll.
-func (x *wireExchange) groupStats() (groups, frames int64) {
+// sentFrames sums the rows frames sent across links. Call only after
+// the run's last send.
+func (x *wireExchange) sentFrames() int64 {
+	var frames int64
 	for _, l := range x.links {
-		if l == nil {
-			continue
+		if l != nil {
+			frames += l.frames
 		}
-		groups += l.groups
-		frames += l.groupedFrames
 	}
-	return groups, frames
+	return frames
 }
 
 // iterExchange adapts wireExchange to dist.Exchange for one iteration.

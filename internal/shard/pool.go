@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -37,6 +38,26 @@ func (e workerError) Error() string { return "shard: worker: " + e.msg }
 func (e workerError) excludable() bool {
 	return strings.Contains(e.msg, "draining") || strings.Contains(e.msg, "not registered") ||
 		strings.Contains(e.msg, "protocol version")
+}
+
+// blamedRank returns the rank of the peer whose link the worker lost
+// ("recv from rank N" or "send to rank N", as wireExchange words it), or
+// -1. A worker that dies mid-run is reported this way by the ranks
+// still exchanging with it, often before its own control connection
+// drops, so the coordinator excludes that peer and re-dispatches
+// instead of surfacing the report as a query error.
+func (e workerError) blamedRank() int {
+	for _, link := range []string{"recv from rank ", "send to rank "} {
+		_, rest, ok := strings.Cut(e.msg, link)
+		if !ok {
+			continue
+		}
+		rest, _, _ = strings.Cut(rest, ":")
+		if r, err := strconv.Atoi(rest); err == nil {
+			return r
+		}
+	}
+	return -1
 }
 
 // PoolOptions configures a coordinator pool.
@@ -230,8 +251,9 @@ type Outcome struct {
 	// bit-identical to the in-process engine under the same seed.
 	PerIteration []float64
 	// Messages and CommBytes aggregate the inter-shard row exchange
-	// under the dist cost model; Groups and GroupedFrames describe the
-	// adaptive send grouping (GroupedFrames frames in Groups flushes).
+	// under the dist cost model. Groups counts the senders' flushes and
+	// GroupedFrames the rows frames they carried; every frame is
+	// flushed at its end, so both equal Messages.
 	Messages      int64
 	CommBytes     int64
 	Groups        int64
@@ -550,10 +572,16 @@ func (p *Pool) runGroup(ctx context.Context, group []string, q Query, k int, sca
 	}
 	if err != nil {
 		var we workerError
-		if errors.As(err, &we) && !we.excludable() {
-			// Deterministic run error: retrying elsewhere would fail the
-			// same way, so surface it instead of excluding the shard.
-			return ests, gs, "", err
+		if errors.As(err, &we) {
+			switch r := we.blamedRank(); {
+			case r >= 0 && r < ranks:
+				failedAddr = group[r]
+			case !we.excludable():
+				// Deterministic run error: retrying elsewhere would fail
+				// the same way, so surface it instead of excluding the
+				// shard.
+				return ests, gs, "", err
+			}
 		}
 	}
 	return ests, gs, failedAddr, err

@@ -150,51 +150,157 @@ func TestTemplateWireRoundTrip(t *testing.T) {
 
 // TestShardBitIdentity is the keystone: a coordinator driving real
 // worker processes' protocol over TCP must reproduce the in-process
-// distributed engine bit for bit — estimates AND communication
-// accounting (same needs lists, same skip rule, same cost model).
+// distributed engine and the local engine bit for bit — estimates AND
+// communication accounting (same needs lists, same skip rule, same cost
+// model).
 func TestShardBitIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	g := randomGraph(rng, 50, 150)
-	tr := tmpl.MustNamed("U5-2")
-	const iters, seed = 4, 11
-
-	for _, ranks := range []int{1, 2, 3} {
-		de, err := dist.New(g, tr, dist.Config{Ranks: ranks, Seed: seed})
+	cases := []struct {
+		name  string
+		g     *graph.Graph
+		t     *tmpl.Template
+		ranks []int
+		iters int
+		// minPacket is the mean packet payload the case must reach.
+		minPacket int64
+	}{
+		{"small", randomGraph(rng, 50, 150), tmpl.MustNamed("U5-2"), []int{1, 2, 3}, 4, 0},
+		// Packets larger than the links' 64 KiB writer and reader
+		// buffers: every frame spans several flushes and reads.
+		{"wide-packets", randomGraph(rng, 2000, 8000), tmpl.MustNamed("U7-1"), []int{2}, 2, 64 << 10},
+	}
+	const seed = 11
+	for _, c := range cases {
+		cfg := dp.DefaultConfig()
+		cfg.Seed = seed
+		local, err := dp.New(c.g, c.t, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := de.Run(iters)
+		lres, err := local.Run(c.iters)
 		if err != nil {
 			t.Fatal(err)
 		}
+		for _, ranks := range c.ranks {
+			de, err := dist.New(c.g, c.t, dist.Config{Ranks: ranks, Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := de.Run(c.iters)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want.Messages > 0 && want.CommBytes/want.Messages < c.minPacket {
+				t.Fatalf("%s ranks=%d: mean packet %d bytes, the case needs %d", c.name, ranks, want.CommBytes/want.Messages, c.minPacket)
+			}
 
-		pool, _, _ := startFleet(t, g, ranks, WorkerOptions{})
-		out, err := pool.Count(context.Background(), Query{
-			GraphHash: graph.Hash(g), GraphN: g.N(),
-			Template: tr, Seed: seed, Iterations: iters,
-		})
-		if err != nil {
-			t.Fatalf("ranks=%d: %v", ranks, err)
-		}
-		if len(out.PerIteration) != iters {
-			t.Fatalf("ranks=%d: got %d iterations, want %d", ranks, len(out.PerIteration), iters)
-		}
-		for i := range want.PerIteration {
-			if out.PerIteration[i] != want.PerIteration[i] {
-				t.Fatalf("ranks=%d iter %d: wire %v, in-process %v",
-					ranks, i, out.PerIteration[i], want.PerIteration[i])
+			pool, _, _ := startFleet(t, c.g, ranks, WorkerOptions{})
+			out, err := pool.Count(context.Background(), Query{
+				GraphHash: graph.Hash(c.g), GraphN: c.g.N(),
+				Template: c.t, Seed: seed, Iterations: c.iters,
+			})
+			if err != nil {
+				t.Fatalf("%s ranks=%d: %v", c.name, ranks, err)
+			}
+			if len(out.PerIteration) != c.iters {
+				t.Fatalf("%s ranks=%d: got %d iterations, want %d", c.name, ranks, len(out.PerIteration), c.iters)
+			}
+			for i := range want.PerIteration {
+				if out.PerIteration[i] != want.PerIteration[i] || out.PerIteration[i] != lres.PerIteration[i] {
+					t.Fatalf("%s ranks=%d iter %d: wire %v, in-process %v, local %v",
+						c.name, ranks, i, out.PerIteration[i], want.PerIteration[i], lres.PerIteration[i])
+				}
+			}
+			if out.Messages != want.Messages || out.CommBytes != want.CommBytes {
+				t.Fatalf("%s ranks=%d: wire accounting (%d msgs, %d bytes) != in-process (%d msgs, %d bytes)",
+					c.name, ranks, out.Messages, out.CommBytes, want.Messages, want.CommBytes)
+			}
+			if out.Groups != out.Messages || out.GroupedFrames != out.Messages {
+				t.Fatalf("%s ranks=%d: %d messages left in %d flushes carrying %d frames, want one flush per message",
+					c.name, ranks, out.Messages, out.Groups, out.GroupedFrames)
+			}
+			if out.Shards != ranks || out.Redispatches != 0 {
+				t.Fatalf("%s ranks=%d: outcome %+v", c.name, ranks, out)
 			}
 		}
-		if out.Messages != want.Messages || out.CommBytes != want.CommBytes {
-			t.Fatalf("ranks=%d: wire accounting (%d msgs, %d bytes) != in-process (%d msgs, %d bytes)",
-				ranks, out.Messages, out.CommBytes, want.Messages, want.CommBytes)
+	}
+}
+
+// TestWorkerErrorBlamedRank pins how the coordinator reads a worker's
+// report of a broken peer link: the rank named in the exchange's recv
+// and send errors is the shard to exclude, whatever wraps the message,
+// and any other report names nobody.
+func TestWorkerErrorBlamedRank(t *testing.T) {
+	for _, c := range []struct {
+		msg  string
+		want int
+	}{
+		{"shard: recv from rank 1: read tcp 127.0.0.1:1->127.0.0.1:2: read: connection reset by peer", 1},
+		{"shard: recv from rank 12: EOF", 12},
+		{"shard: send to rank 0: write tcp 127.0.0.1:1->127.0.0.1:2: write: broken pipe", 0},
+		{"dist: rank 0 step 3: packet from 1 carries 4 rows, need 5", -1},
+		{"shard: duplicate packet from rank 2 for iter 0 step 1", -1},
+		{"shard: recv from rank x: EOF", -1},
+		{"graph 1f not registered on this shard", -1},
+	} {
+		if got := (workerError{msg: c.msg}).blamedRank(); got != c.want {
+			t.Errorf("%q: blamed rank %d, want %d", c.msg, got, c.want)
 		}
-		if ranks > 1 && out.Messages > 0 && out.Groups == 0 {
-			t.Fatalf("ranks=%d: sender flushed %d messages in zero groups", ranks, out.Messages)
+	}
+}
+
+// TestSendUnwindsOnAbort pins cancellation of a rank blocked writing to
+// a stalled peer: the rank goroutine itself writes each packet, so a
+// peer that stops reading blocks it in the socket write, and
+// abortConns (what workerRun.cancel calls) must unblock it within
+// 100 ms, after which shutdown returns and no goroutine is left.
+func TestSendUnwindsOnAbort(t *testing.T) {
+	base := runtime.NumGoroutine()
+	near, far := net.Pipe() // far is never read: every write to near blocks
+	x := newWireExchange(0, 2, &dist.CommStats{})
+	x.attach(1, near, nil)
+	rows := make([][]float64, 64)
+	for i := range rows {
+		rows[i] = make([]float64, 35) // an 18 KiB packet
+	}
+	sent := make(chan error, 1)
+	go func() { sent <- x.send(1, 0, 3, dist.Packet{Rows: rows}) }()
+	select {
+	case err := <-sent:
+		t.Fatalf("send to a peer that reads nothing returned %v; it must block", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	aborted := time.Now()
+	x.abortConns(errRunCancelled)
+	select {
+	case err := <-sent:
+		if !errors.Is(err, errRunCancelled) {
+			t.Fatalf("aborted send returned %v, want %v", err, errRunCancelled)
 		}
-		if out.Shards != ranks || out.Redispatches != 0 {
-			t.Fatalf("ranks=%d: outcome %+v", ranks, out)
+		if d := time.Since(aborted); d > 100*time.Millisecond {
+			t.Fatalf("send took %v to unwind after abortConns", d)
 		}
+	case <-time.After(100 * time.Millisecond):
+		t.Fatal("send still blocked 100 ms after abortConns")
+	}
+	shut := make(chan struct{})
+	go func() {
+		x.shutdown()
+		close(shut)
+	}()
+	select {
+	case <-shut:
+	case <-time.After(time.Second):
+		t.Fatal("shutdown hung after abortConns")
+	}
+	far.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("goroutines leaked: %d -> %d\n%s", base, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

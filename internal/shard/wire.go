@@ -6,12 +6,16 @@
 // rank-local DP (dist.Engine.RunRank, on dp's lane kernels) and
 // exchanges boundary-vertex passive rows with its peers over
 // length-prefixed binary TCP framing, in the precomputed needs-list
-// order, with the per-node exchange pipelined (packets for later DP
-// steps travel while earlier steps compute) and sends grouped
-// adaptively per Chen et al. (arXiv:1804.09764). Per-iteration
-// estimates are bit-identical to the in-process engine under the same
-// seed, which keeps the serving layer's MergeIterations and seed-keyed
-// cache contracts intact across local and sharded execution.
+// order. The rank goroutine writes each packet's frame straight from its
+// table rows into the peer link's buffered writer and flushes it at the
+// packet's end; the exchange is pipelined per Chen et al.
+// (arXiv:1804.09764), since packets for later DP steps sit in the
+// socket buffers while earlier steps compute. A reader goroutine per
+// link decodes inbound rows into slabs that are never copied.
+// Per-iteration estimates are bit-identical to the in-process engine
+// under the same seed while every count stays below 2^53, which keeps
+// the serving layer's MergeIterations and seed-keyed cache contracts
+// intact across local and sharded execution.
 //
 // Failure handling is part of the protocol contract: losing a shard
 // connection marks the iterations it had not finished as failed; the
@@ -107,8 +111,9 @@ type doneMsg struct {
 	Messages  int64
 	CommBytes int64
 	MaxRows   uint32
-	// Groups and GroupedFrames describe the adaptive group sizing of the
-	// pipelined sender: GroupedFrames frames left in Groups flushes.
+	// Groups counts the sender's flushes and GroupedFrames the rows
+	// frames they carried; each frame is flushed at its end, so the two
+	// are equal.
 	Groups        uint32
 	GroupedFrames uint32
 }
@@ -191,8 +196,7 @@ func (r *rbuf) str() string {
 }
 
 // writeFrame ships one length-prefixed frame: u32 length (type byte +
-// payload), type byte, payload. The writer is typically buffered; the
-// caller decides when to flush (the adaptive grouping lever).
+// payload), type byte, payload. When w is buffered the caller flushes.
 func writeFrame(w io.Writer, t msgType, payload []byte) error {
 	var hdr [5]byte
 	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(payload)+1))
@@ -398,28 +402,91 @@ func decodeErr(b []byte) (string, error) {
 	return s, r.err
 }
 
-// encodeRows serializes a packet in needs-list order: nil rows cost 4
-// bytes (width -1), present rows a width header plus 8 bytes per value.
-func encodeRows(m rowsMsg) []byte {
-	size := 12
-	for _, row := range m.Rows {
-		size += 4 + 8*len(row)
+// writeRows streams one rows frame into bw straight from rows and
+// flushes it, with no payload buffer between the table and the socket.
+// The body is iter, step, the row count, then each row in needs-list
+// order: a nil row costs 4 bytes (width -1), a present row a width
+// header plus 8 bytes per value. Values are encoded in place into bw's
+// free buffer, which is flushed whenever the next width or value does
+// not fit; bw's buffer must hold at least 8 bytes.
+//
+//fascia:hotpath
+func writeRows(bw *bufio.Writer, iter, step uint32, rows [][]float64) error {
+	body := 12
+	for _, row := range rows {
+		body += 4 + 8*len(row)
 	}
-	w := wbuf{b: make([]byte, 0, size)}
-	w.u32(m.Iter)
-	w.u32(m.Step)
-	w.u32(uint32(len(m.Rows)))
-	for _, row := range m.Rows {
-		if row == nil {
-			w.u32(^uint32(0)) // -1: vertex has no counts
-			continue
+	if body >= maxFrameBytes {
+		return errFrameTooLarge
+	}
+	b, err := reserve(bw, 5)
+	if err != nil {
+		return err
+	}
+	binary.LittleEndian.PutUint32(b, uint32(body+1))
+	b[4] = byte(msgRows)
+	bw.Write(b[:5])
+	for _, x := range [3]uint32{iter, step, uint32(len(rows))} {
+		if b, err = reserve(bw, 4); err != nil {
+			return err
 		}
-		w.u32(uint32(len(row)))
-		for _, x := range row {
-			w.f64(x)
+		binary.LittleEndian.PutUint32(b, x)
+		bw.Write(b[:4])
+	}
+	for _, row := range rows {
+		w := ^uint32(0) // -1: vertex has no counts
+		if row != nil {
+			w = uint32(len(row))
+		}
+		b, err := reserve(bw, 4)
+		if err != nil {
+			return err
+		}
+		binary.LittleEndian.PutUint32(b, w)
+		n := putF64s(b[4:], row)
+		bw.Write(b[:4+8*n])
+		for row = row[n:]; len(row) > 0; row = row[n:] {
+			if b, err = reserve(bw, 8); err != nil {
+				return err
+			}
+			n = putF64s(b, row)
+			bw.Write(b[:8*n])
 		}
 	}
-	return w.b
+	return bw.Flush()
+}
+
+// putF64s encodes as many leading values of row as b holds and returns
+// how many that was.
+//
+//fascia:hotpath
+func putF64s(b []byte, row []float64) int {
+	row = row[:min(len(row), len(b)/8)]
+	b = b[:8*len(row)]
+	for i, x := range row {
+		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(x))
+	}
+	return len(row)
+}
+
+// errFrameTooLarge refuses a packet no peer would accept.
+var errFrameTooLarge = fmt.Errorf("shard: rows frame exceeds %d bytes", maxFrameBytes)
+
+// reserve returns bw's whole free buffer, flushing bw first when fewer
+// than n bytes of it are free.
+//
+//fascia:hotpath
+func reserve(bw *bufio.Writer, n int) ([]byte, error) {
+	if bw.Available() < n {
+		if err := bw.Flush(); err != nil {
+			return nil, err
+		}
+		if bw.Available() < n {
+			return nil, io.ErrShortBuffer
+		}
+	}
+	b := bw.AvailableBuffer()
+	return b[:cap(b)], nil
 }
 
 // frameReader decodes one frame body straight from a link's buffered
@@ -460,7 +527,9 @@ func (d *frameReader) u32() uint32 {
 // from a length the frame claims alone. It doubles, so a slab is copied
 // about once in all and never holds more than twice the values
 // received, and it stops at the frame's remaining bytes, so an honest
-// packet's last slab has no slack.
+// packet's last slab has no slack. readRows hands it a slab with room
+// for the row whenever it can, so only rows wider than what has arrived
+// ever grow one.
 func (d *frameReader) f64s(dst []float64, n int) []float64 {
 	if d.err == nil && n > d.left/8 {
 		d.fail(fmt.Errorf("shard: truncated frame: %d bytes left, need %d", d.left, 8*n))
@@ -477,9 +546,12 @@ func (d *frameReader) f64s(dst []float64, n int) []float64 {
 			copy(grown, dst)
 			dst = grown
 		}
-		for i := 0; i < k; i++ {
-			dst = append(dst, math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:])))
+		vals := dst[len(dst) : len(dst)+k]
+		b = b[:8*k]
+		for i := range vals {
+			vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 		}
+		dst = dst[:len(dst)+k]
 		d.r.Discard(8 * k)
 		d.left -= 8 * k
 		n -= k
@@ -496,9 +568,9 @@ func noEOF(err error) error {
 }
 
 // readRowsFrame reads the next frame of a peer link, which must be a
-// rows frame, and decodes it straight from r: the row values land in one
-// slab per packet and each row is a slice of it, with no intermediate
-// payload buffer.
+// rows frame, and decodes it straight from r: the row values land in
+// slabs that are never copied and each row is a slice of one, with no
+// intermediate payload buffer.
 func readRowsFrame(r *bufio.Reader) (rowsMsg, error) {
 	var hdr [5]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -514,7 +586,13 @@ func readRowsFrame(r *bufio.Reader) (rowsMsg, error) {
 	return readRows(r, int(n)-1)
 }
 
-// readRows decodes a rows frame body of size bytes from r.
+// readRows decodes a rows frame body of size bytes from r. Rows fill
+// the current slab in order until one does not fit; the next slab then
+// takes as many values as have been received so far or as the reader
+// holds, whichever is more, capped by the frame's remaining bytes. A
+// slab therefore never holds more than the bytes already received
+// justify, and it is never outgrown, so its values are never copied.
+// Only a row wider than the new slab takes f64s' doubling path.
 func readRows(r *bufio.Reader, size int) (rowsMsg, error) {
 	d := frameReader{r: r, left: size}
 	m := rowsMsg{Iter: d.u32(), Step: d.u32()}
@@ -524,17 +602,29 @@ func readRows(r *bufio.Reader, size int) (rowsMsg, error) {
 	if d.err == nil && int(count) > d.left/4 {
 		d.fail(fmt.Errorf("shard: rows frame claims %d rows in %d bytes", count, d.left))
 	}
-	var widths []int32 // -1 marks a nil row
-	var vals []float64
+	var widths []int32    // -1 marks a nil row
+	var slabs [][]float64 // filled slabs, in row order
+	var slab []float64    // the slab being filled
+	got := 0              // values decoded so far
 	for j := uint32(0); j < count && d.err == nil; j++ {
 		w := d.u32()
 		if w == ^uint32(0) {
 			widths = append(widths, -1)
 			continue
 		}
+		if int(w) > cap(slab)-len(slab) {
+			if len(slab) > 0 {
+				slabs = append(slabs, slab)
+			}
+			slab = nil
+			if n := min(max(got, d.r.Buffered()/8), d.left/8); int(w) <= n {
+				slab = make([]float64, 0, n)
+			}
+		}
 		// f64s refuses a width past the frame's remaining bytes, so a
 		// width that survives it fits in an int32.
-		vals = d.f64s(vals, int(w))
+		slab = d.f64s(slab, int(w))
+		got += int(w)
 		widths = append(widths, int32(w))
 	}
 	if d.err == nil && d.left != 0 {
@@ -543,11 +633,23 @@ func readRows(r *bufio.Reader, size int) (rowsMsg, error) {
 	if d.err != nil {
 		return rowsMsg{}, d.err
 	}
+	if len(slab) > 0 {
+		slabs = append(slabs, slab)
+	}
+	// Carve the rows: each lies whole in one slab, and a row opens the
+	// next slab exactly when it did not fit in the one before.
 	m.Rows = make([][]float64, len(widths))
-	off := 0
+	si, off := 0, 0
 	for j, w := range widths {
-		if w >= 0 {
-			m.Rows[j] = vals[off : off+int(w) : off+int(w)]
+		switch {
+		case w < 0:
+		case w == 0:
+			m.Rows[j] = []float64{}
+		default:
+			if off+int(w) > len(slabs[si]) {
+				si, off = si+1, 0
+			}
+			m.Rows[j] = slabs[si][off : off+int(w) : off+int(w)]
 			off += int(w)
 		}
 	}

@@ -435,14 +435,12 @@ func (w *Worker) runShard(c net.Conn, br *bufio.Reader, reply func(msgType, []by
 			}
 		}
 	}
-	// Flush and reap the links before reading the grouping counters.
-	run.x.shutdown()
-	groups, frames := run.x.groupStats()
+	frames := run.x.sentFrames()
 	reply(msgDone, encodeDone(doneMsg{
 		Messages:      comm.Messages.Load(),
 		CommBytes:     comm.Bytes.Load(),
 		MaxRows:       uint32(maxRows),
-		Groups:        uint32(groups),
+		Groups:        uint32(frames), // one flush per frame
 		GroupedFrames: uint32(frames),
 	}))
 }
@@ -510,8 +508,8 @@ func (w *Worker) handlePeer(c net.Conn, br *bufio.Reader, h hello) {
 		replyErr(c, fmt.Sprintf("no run %d on this shard", h.RunID))
 		return
 	}
-	// Acknowledge before attaching: once the run's writer owns the
-	// connection this goroutine must not touch it again.
+	// Acknowledge before attaching: once the run owns the connection
+	// this goroutine must not touch it again.
 	c.SetWriteDeadline(time.Now().Add(5 * time.Second))
 	if err := writeFrame(c, msgHelloOK, encodeHelloOK(helloOK{})); err != nil {
 		c.Close()
