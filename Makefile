@@ -88,7 +88,11 @@ race-cancel:
 
 # Oracle-differential harness under the race detector: every public
 # counting entry point against internal/exact, every option combination
-# against the reference configuration bit for bit.
+# against the reference configuration bit for bit, and the directed
+# matrix (TestOracleDifferentialDirected): CountDirected against golden
+# estimate bits under every layout × kernel × batch width × parallel
+# mode and with sharing requested, and its colorful totals against the
+# directed oracle.
 difftest:
 	$(GO) test -race -run TestOracleDifferential .
 

@@ -6,7 +6,9 @@ package fascia
 // internal/exact oracle within statistical tolerance, and every
 // layout × kernel × batch × parallel-mode combination is checked for
 // exact (bit-identical) agreement with the reference configuration
-// under a fixed seed. Failures print the seed and full configuration so
+// under a fixed seed. CountDirected gets the same matrix against golden
+// estimate bits, plus exact colorful totals against the directed
+// oracle. Failures print the seed and full configuration so
 // any disagreement is reproducible from the log line alone. The harness
 // runs under -race in CI (`make difftest`).
 
@@ -15,7 +17,9 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/dp"
 	"repro/internal/exact"
+	"repro/internal/tmpl"
 )
 
 // diffSeed bases every run in the harness; iteration i colors with
@@ -426,6 +430,153 @@ func TestOracleDifferentialColorfulExact(t *testing.T) {
 				if got != float64(want) {
 					t.Fatalf("COLORFUL DISAGREEMENT graph=%s tmpl=%s seed=%d: DP total %v != exact %d",
 						w.gName, w.tName, s, got, want)
+				}
+			}
+		})
+	}
+}
+
+// directedGolden holds CountDirected's per-iteration estimate bits
+// (math.Float64bits) at 6 iterations and seed diffSeed, as recorded from
+// the private scalar engine directed counting ran on before it moved
+// onto dp's kernels, for the workloads of directedDiffWorkloads in
+// order. Every value is an exact integer total scaled once, far below
+// 2^53, so any correct engine reproduces the bits.
+var directedGolden = []struct {
+	name string
+	bits []uint64
+}{
+	{"ex400/DP4", []uint64{0x40f520aaaaaaaaab, 0x40f45e0000000000, 0x40f4f55555555555, 0x40f4a15555555555, 0x40f5720000000000, 0x40f38c0000000000}},
+	{"ex400/DSout4", []uint64{0x40cc255555555555, 0x40cc500000000000, 0x40cb900000000000, 0x40c9d00000000000, 0x40cdf55555555555, 0x40c8daaaaaaaaaab}},
+	{"ex400/DSin4", []uint64{0x40c8655555555555, 0x40c9300000000000, 0x40ca500000000000, 0x40c9755555555555, 0x40caf55555555555, 0x40c7355555555555}},
+	{"ex400/feedfwd", []uint64{0x40f4daaaaaaaaaab, 0x40f4aaaaaaaaaaab, 0x40f4d75555555555, 0x40f4180000000000, 0x40f60e0000000000, 0x40f3040000000000}},
+	{"ex400/DP7", []uint64{0x4171687a48dddddf, 0x4171380c3449f4a1, 0x417123e6d9111112, 0x417214605238e390, 0x4170baaa0b3e93ea, 0x41704296285b05b2}},
+	{"r0/DR2", []uint64{0x4064400000000000, 0x4061c00000000000, 0x4061c00000000000, 0x4062800000000000, 0x4062800000000000, 0x4063400000000000}},
+	{"r1/DR3", []uint64{0x4074d00000000000, 0x4076c80000000000, 0x4073680000000000, 0x4076380000000000, 0x4071280000000000, 0x4076c80000000000}},
+	{"r2/DR4", []uint64{0x40a82aaaaaaaaaab, 0x40a2155555555555, 0x40aad55555555555, 0x40a5555555555555, 0x409fd55555555555, 0x40a5aaaaaaaaaaab}},
+	{"r3/DR5", []uint64{0x40bcc9caaaaaaaaa, 0x40c63a1aaaaaaaaa, 0x40c77f9fffffffff, 0x40c2c4b000000000, 0x40c2839555555555, 0x40c01f9aaaaaaaaa}},
+	{"r4/DR6", []uint64{0x40e3c68000000000, 0x40d9c16666666667, 0x40d32c999999999a, 0x40e7418000000000, 0x40df123333333334, 0x40e759cccccccccd}},
+	{"r5/DR7", []uint64{0x40d1b66377777779, 0x40e8f9144fa4fa51, 0x40d6570c71c71c73, 0x40f7f9c3c16c16c3, 0x40f1e97393e93e95, 0x40ec2a1616c16c19}},
+	{"r6/DR8", []uint64{0x41244e04e04e04e0, 0x412ced4ed4ed4ed5, 0x4102492492492492, 0x410f49f49f49f49f, 0x411b813813813814, 0x41108f08f08f08f1}},
+	{"r7/DR2", []uint64{0x4062000000000000, 0x4060c00000000000, 0x4064000000000000, 0x4063800000000000, 0x4063400000000000, 0x4065000000000000}},
+	{"r8/DR3", []uint64{0x4072900000000000, 0x406c200000000000, 0x4072480000000000, 0x4073f80000000000, 0x4071280000000000, 0x4072000000000000}},
+	{"r9/DR4", []uint64{0x40a46aaaaaaaaaab, 0x40a3800000000000, 0x40a2eaaaaaaaaaab, 0x409c2aaaaaaaaaab, 0x40a1800000000000, 0x409d000000000000}},
+	{"r10/DR5", []uint64{0x40bf88eaaaaaaaaa, 0x40c4655aaaaaaaaa, 0x40c053b000000000, 0x40b542b555555555, 0x40bd31f555555555, 0x40aa3ebfffffffff}},
+	{"r11/DR6", []uint64{0x40c605999999999a, 0x40cd5ccccccccccd, 0x40d990cccccccccd, 0x40df226666666667, 0x40e4074ccccccccd, 0x40d990cccccccccd}},
+	{"r12/DR7", []uint64{0x40d95f348888888a, 0x40edd703d27d27d5, 0x40e6d19982d82d85, 0x40f013ac27d27d29, 0x40f6c76316c16c18, 0x40f0281900000001}},
+	{"r13/DR8", []uint64{0x41139b39b39b39b4, 0x410f8af8af8af8b0, 0x40f0410410410410, 0x411ec7ec7ec7ec7f, 0x410f2ff2ff2ff2ff, 0x41127d27d27d27d2}},
+	{"r14/DR2", []uint64{0x4063800000000000, 0x4060c00000000000, 0x4064c00000000000, 0x4062c00000000000, 0x4063000000000000, 0x4062c00000000000}},
+	{"r15/DR3", []uint64{0x4076380000000000, 0x4070980000000000, 0x406f800000000000, 0x4074880000000000, 0x4073f80000000000, 0x4073f80000000000}},
+	{"r16/DR4", []uint64{0x408d000000000000, 0x4093000000000000, 0x40912aaaaaaaaaab, 0x409c555555555555, 0x4085000000000000, 0x408faaaaaaaaaaab}},
+	{"r17/DR5", []uint64{0x406a0aaaaaaaaaaa, 0x406a0aaaaaaaaaaa, 0x407528aaaaaaaaaa, 0x4076c95555555555, 0x403a0aaaaaaaaaaa, 0x407869ffffffffff}},
+	{"r18/DR6", []uint64{0x40e5b4999999999a, 0x40aa533333333334, 0x40cea0cccccccccd, 0x40dc18cccccccccd, 0x40d0e56666666667, 0x40c92f999999999a}},
+	{"r19/DR7", []uint64{0x40b6570c71c71c73, 0x40f6b2f63e93e940, 0x40d84140b60b60b8, 0x40fe3d240b60b60e, 0x410183535b05b05c, 0x40e2ab7d9999999b}},
+	{"r20/DR8", []uint64{0x4100820820820821, 0x4104854854854855, 0x40bd41d41d41d41d, 0x40feadeadeadeadf, 0x4110f70f70f70f71, 0x4104b94b94b94b95}},
+	{"r21/DR2", []uint64{0x4063800000000000, 0x4061800000000000, 0x4061800000000000, 0x4061c00000000000, 0x4060800000000000, 0x4063400000000000}},
+	{"r22/DR3", []uint64{0x407ab80000000000, 0x4077e80000000000, 0x4079500000000000, 0x4078c00000000000, 0x4079980000000000, 0x4077100000000000}},
+	{"r23/DR4", []uint64{0x4094aaaaaaaaaaab, 0x409e800000000000, 0x4091d55555555555, 0x407e000000000000, 0x4090800000000000, 0x4090800000000000}},
+}
+
+type directedWorkload struct {
+	name string
+	g    *DiGraph
+	t    *DiTemplate
+}
+
+// directedDiffWorkloads returns the directed matrix's workloads: the
+// four examples/directed templates and DiPath(7) on the example's
+// digraph, then 24 random oriented trees of 2–8 vertices, each on its
+// own random digraph.
+func directedDiffWorkloads() []directedWorkload {
+	ex := RandomDiGraph(400, 2400, 7)
+	feedfwd, err := NewDiTemplate("feedfwd", 4, [][2]int{{0, 1}, {0, 2}, {1, 3}})
+	if err != nil {
+		panic(err)
+	}
+	var out []directedWorkload
+	for _, t := range []*DiTemplate{DiPathTemplate(4), DiStarOutTemplate(4), DiStarInTemplate(4), feedfwd, DiPathTemplate(7)} {
+		out = append(out, directedWorkload{"ex400/" + t.Name(), ex, t})
+	}
+	for i := 0; i < 24; i++ {
+		k := 2 + i%7
+		out = append(out, directedWorkload{fmt.Sprintf("r%d/DR%d", i, k),
+			RandomDiGraph(36, 160, int64(300+i)), tmpl.RandomDiTemplate(k, int64(200+i))})
+	}
+	return out
+}
+
+// TestOracleDifferentialDirected is the directed matrix: CountDirected
+// must reproduce the golden bits under every layout × kernel × batch
+// width (1, 4, auto) × parallel mode at 2 threads, and with
+// ShareSubtemplates requested (directed engines run unshared); and under
+// fixed colorings the DP's raw colorful total must equal the directed
+// rainbow enumeration exactly.
+func TestOracleDifferentialDirected(t *testing.T) {
+	var combos []struct {
+		name string
+		opt  Options
+	}
+	for _, layout := range []TableLayout{TableLazy, TableNaive, TableHash, TableSuccinct} {
+		for _, kernel := range []KernelChoice{KernelAuto, KernelDirect, KernelAggregate} {
+			for _, batch := range []int{1, 4, BatchAuto} {
+				for _, mode := range []ParallelMode{ParallelInner, ParallelOuter, ParallelHybrid} {
+					combos = append(combos, struct {
+						name string
+						opt  Options
+					}{
+						fmt.Sprintf("layout=%s kernel=%s batch=%d parallel=%s", layout, kernel, batch, mode),
+						DefaultOptions().WithTable(layout).WithKernel(kernel).WithBatch(batch).WithParallel(mode).WithThreads(2),
+					})
+				}
+			}
+		}
+	}
+	shared := DefaultOptions()
+	shared.ShareSubtemplates = true
+	combos = append(combos, struct {
+		name string
+		opt  Options
+	}{"share=true", shared})
+
+	workloads := directedDiffWorkloads()
+	if len(workloads) != len(directedGolden) {
+		t.Fatalf("%d workloads for %d golden streams", len(workloads), len(directedGolden))
+	}
+	for wi, w := range workloads {
+		want := directedGolden[wi]
+		t.Run(w.name, func(t *testing.T) {
+			if want.name != w.name {
+				t.Fatalf("workload %d is %s, golden stream is %s", wi, w.name, want.name)
+			}
+			for _, c := range combos {
+				res, err := CountDirected(w.g, w.t, c.opt.WithSeed(diffSeed).WithIterations(len(want.bits)))
+				if err != nil {
+					t.Fatalf("%s seed=%d: %v", c.name, diffSeed, err)
+				}
+				if len(res.PerIteration) != len(want.bits) {
+					t.Fatalf("%s seed=%d: %d iterations, want %d", c.name, diffSeed, len(res.PerIteration), len(want.bits))
+				}
+				for i, x := range res.PerIteration {
+					if math.Float64bits(x) != want.bits[i] {
+						t.Fatalf("EXACTNESS DISAGREEMENT %s %s seed=%d iteration=%d: %v != golden %v",
+							w.name, c.name, diffSeed, i, x, math.Float64frombits(want.bits[i]))
+					}
+				}
+			}
+
+			cfg, err := DefaultOptions().config()
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, err := dp.NewDirected(w.g, w.t, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for s := int64(diffSeed); s < diffSeed+3; s++ {
+				got := e.ColorfulTotal(s)
+				want := exact.CountColorfulMappingsDirected(w.g, w.t, e.ColoringFor(s))
+				if got != float64(want) {
+					t.Fatalf("COLORFUL DISAGREEMENT %s seed=%d: DP total %v != exact %d", w.name, s, got, want)
 				}
 			}
 		})

@@ -191,6 +191,12 @@ func CountContext(ctx context.Context, g *Graph, t *Template, opt Options) (Resu
 	if err != nil {
 		return Result{}, err
 	}
+	return e.count(ctx, t.K(), opt)
+}
+
+// count runs opt's schedule on e for a k-vertex template: adaptive when
+// opt.Adaptive is set, otherwise opt's fixed iteration count.
+func (e *Engine) count(ctx context.Context, k int, opt Options) (Result, error) {
 	if opt.Adaptive > 0 {
 		maxIters := opt.Iterations
 		if maxIters < 2 {
@@ -198,7 +204,7 @@ func CountContext(ctx context.Context, g *Graph, t *Template, opt Options) (Resu
 		}
 		return e.RunConvergedContext(ctx, opt.Adaptive, 2, maxIters)
 	}
-	return e.RunContext(ctx, opt.iterations(t.K()))
+	return e.RunContext(ctx, opt.iterations(k))
 }
 
 // CountLabeled is Count for labeled graphs and templates; it exists for

@@ -135,6 +135,12 @@ func TestInvalidOptionEnums(t *testing.T) {
 	if _, err := Count(g, PathTemplate(12), bad); !errors.As(err, &wide) {
 		t.Fatalf("32 colors on a 12-vertex path: got %v, want a row-width error", err)
 	}
+	// Star(22), the one tree whose automorphism count saturates an
+	// int64, needs split and singleton tables far above the cap.
+	var big *dp.TableSizeError
+	if _, err := Count(g, StarTemplate(22), DefaultOptions()); !errors.As(err, &big) {
+		t.Fatalf("Star(22): got %v, want a table-size error", err)
+	}
 }
 
 func TestEngineReuse(t *testing.T) {
@@ -454,6 +460,17 @@ func TestCountDirectedPublic(t *testing.T) {
 	}
 	if _, err := NewDiTemplate("bad", 3, [][2]int{{0, 1}}); err == nil {
 		t.Fatal("bad directed template accepted")
+	}
+	// A template's orientation must match its graph.
+	if _, err := Count(g.Underlying(), tr, DefaultOptions()); err == nil {
+		t.Fatal("Count accepted an oriented template on an undirected graph")
+	}
+	if _, err := CountDirected(g, PathTemplate(3), DefaultOptions()); err == nil {
+		t.Fatal("CountDirected accepted an unoriented template")
+	}
+	var big *dp.TableSizeError
+	if _, err := CountDirected(g, DiStarOutTemplate(22), DefaultOptions()); !errors.As(err, &big) {
+		t.Fatalf("DiStarOut(22): got %v, want a table-size error", err)
 	}
 	if _, err := CountDirected(g, tr, DefaultOptions().WithIterations(0)); err != nil {
 		t.Fatal("default single iteration should work:", err)

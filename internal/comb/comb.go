@@ -29,6 +29,16 @@ const MaxColors = 32
 // scratch rows, which are as wide as the widest table row, stay small.
 const MaxRowCells = 1 << 20
 
+// MaxIndexBytes caps the summed size of the split and singleton index
+// tables one engine builds (SplitTableBytes, SingletonBytes): a template
+// and color count whose partition tree needs more are refused before any
+// table is built. The paper's templates need well under 1 MiB at their
+// own color counts, while 12-vertex trees at 22 colors need 0.5 GB or
+// more. It also keeps automorphism counts exact: the one tree that
+// passes MaxRowCells with more automorphisms than an int64 holds, the
+// 22-vertex star at 22 colors, needs 369 MB of split tables alone.
+const MaxIndexBytes = 128 << 20
+
 // binomial[n][r] = C(n, r) for 0 <= n <= MaxColors, 0 <= r <= n.
 var binomial [MaxColors + 1][MaxColors + 1]int64
 

@@ -74,6 +74,12 @@ func NewSplitTable(k, h, aN int) *SplitTable {
 	return st
 }
 
+// SplitTableBytes returns the bytes of NewSplitTable(k, h, aN)'s two
+// index arrays: C(k, h)·C(h, aN) int32 pairs.
+func SplitTableBytes(k, h, aN int) int64 {
+	return 8 * Binomial(k, h) * Binomial(h, aN)
+}
+
 // SingletonEntry links a size-h color set that contains a distinguished
 // color c to the index of the size-(h-1) set with c removed. SetIdx is the
 // rank of the full set among C(k,h) sets; RestIdx is the rank of the
@@ -115,6 +121,13 @@ func SingletonSplits(k, h int) [][]SingletonEntry {
 		}
 	}
 	return out
+}
+
+// SingletonBytes returns the bytes of SingletonSplits(k, h)'s entries:
+// each of the C(k, h) sets appears once per member color, as an 8-byte
+// entry.
+func SingletonBytes(k, h int) int64 {
+	return 8 * int64(h) * Binomial(k, h)
 }
 
 // PairIndex returns the rank of the two-element set {a, b} (a != b) among

@@ -172,7 +172,11 @@ const batchMemBudget = 256 << 20
 
 // Engine runs color-coding iterations for one (graph, template) pair.
 type Engine struct {
-	g   *graph.Graph
+	g *graph.Graph
+	// in, when non-nil, marks a directed engine (NewDirected): g is then
+	// the digraph's out-arc CSR and in its in-arc CSR, and each partition
+	// node walks the one its cut arc selects (kernelShapeFor).
+	in  *graph.Graph
 	t   *tmpl.Template
 	cfg Config
 
@@ -253,9 +257,119 @@ func CheckRowWidth(k, colors int) error {
 	return nil
 }
 
+// TableSizeError is New's error for a partition tree whose split and
+// singleton index tables would together exceed comb.MaxIndexBytes.
+type TableSizeError struct {
+	K, Colors int   // template vertices and colors
+	Bytes     int64 // summed index-table bytes
+}
+
+func (e *TableSizeError) Error() string {
+	return fmt.Sprintf("dp: %d colors for a %d-vertex template need %d bytes of split and singleton tables, above the %d-byte cap",
+		e.Colors, e.K, e.Bytes, comb.MaxIndexBytes)
+}
+
+// CheckTables returns the typed size error New would return for template
+// t at colors colors (0 = t.K()) under strategy, without a graph: a
+// *RowWidthError (CheckRowWidth), or a *TableSizeError when the
+// unshared, automatically rooted partition tree needs index tables above
+// comb.MaxIndexBytes. It builds only that tree, so a server can refuse a
+// query before admitting it. Color counts outside [t.K(),
+// comb.MaxColors] are New's other errors; CheckTables passes them, and
+// non-tree templates pass the table check (the bag DP builds no
+// partition tree).
+func CheckTables(t *tmpl.Template, colors int, strategy part.Strategy) error {
+	if err := CheckRowWidth(t.K(), colors); err != nil {
+		return err
+	}
+	k := colors
+	if k == 0 {
+		k = t.K()
+	}
+	if k < t.K() || k > comb.MaxColors || !t.IsTree() {
+		return nil
+	}
+	tree, err := part.Build(t, strategy, false)
+	if err != nil {
+		return nil // New reports it
+	}
+	return checkIndexBytes(tree, k, true)
+}
+
+// checkIndexBytes sums the split and singleton tables New builds for
+// tree at k colors — one split table per distinct (size, active size),
+// one singleton table per distinct size that takes a single-vertex-child
+// fast path when leafSpecial is set — and returns a *TableSizeError above
+// comb.MaxIndexBytes.
+func checkIndexBytes(tree *part.Tree, k int, leafSpecial bool) error {
+	seen := map[[2]int]bool{}
+	var bytes int64
+	for _, n := range tree.Nodes {
+		if n.IsLeaf() {
+			continue
+		}
+		h, aN := n.Size(), n.Active.Size()
+		if key := [2]int{h, aN}; !seen[key] {
+			seen[key] = true
+			bytes += comb.SplitTableBytes(k, h, aN)
+		}
+		// Singleton tables key on h alone; aN = 0 never names a split.
+		if key := [2]int{h, 0}; leafSpecial && usesSingles(h, aN) && !seen[key] {
+			seen[key] = true
+			bytes += comb.SingletonBytes(k, h)
+		}
+	}
+	if bytes > comb.MaxIndexBytes {
+		return &TableSizeError{K: tree.Template.K(), Colors: k, Bytes: bytes}
+	}
+	return nil
+}
+
+// usesSingles reports whether a size-h node with an aN-vertex active
+// child takes a single-vertex-child fast path, which reads the
+// singleton tables of size h.
+func usesSingles(h, aN int) bool {
+	return h > 2 && (aN == 1 || h-aN == 1)
+}
+
 // New validates the configuration and precomputes the partition tree and
-// all combinatorial index tables.
+// all combinatorial index tables. Oriented templates need a digraph
+// (NewDirected).
 func New(g *graph.Graph, t *tmpl.Template, cfg Config) (*Engine, error) {
+	if t != nil && t.Oriented() {
+		return nil, fmt.Errorf("dp: oriented template %s needs a directed graph", t.Name())
+	}
+	return newEngine(g, nil, t, cfg)
+}
+
+// NewDirected is New for an oriented tree template on a digraph, the
+// directed variant of color coding the paper notes in §II-C: a partition
+// node whose template arc points from its root to its passive child's
+// root walks out-arcs, and the others walk in-arcs. Every kernel,
+// layout, lane width and parallel mode applies. Share is forced off,
+// because the partition tree's subtemplate codes ignore arc directions,
+// and so is Reorder, which would have to relabel both CSRs. KeepTables
+// and ForceBagDP are refused: embedding sampling and the bag DP walk
+// undirected adjacency.
+func NewDirected(g *graph.Digraph, t *tmpl.Template, cfg Config) (*Engine, error) {
+	if g == nil || t == nil {
+		return nil, fmt.Errorf("dp: nil graph or template")
+	}
+	if !t.Oriented() {
+		return nil, fmt.Errorf("dp: template %s has no arc directions; count it on an undirected graph", t.Name())
+	}
+	if cfg.KeepTables || cfg.ForceBagDP {
+		return nil, fmt.Errorf("dp: directed counting supports neither KeepTables nor ForceBagDP")
+	}
+	cfg.Share = false
+	cfg.Reorder = ReorderOff
+	return newEngine(g.OutCSR(), g.InCSR(), t, cfg)
+}
+
+// newEngine is the body of New and NewDirected: in is nil for an
+// undirected engine, and the in-arc CSR of a directed one whose out-arc
+// CSR is g.
+func newEngine(g, in *graph.Graph, t *tmpl.Template, cfg Config) (*Engine, error) {
 	if g == nil || t == nil {
 		return nil, fmt.Errorf("dp: nil graph or template")
 	}
@@ -288,8 +402,11 @@ func New(g *graph.Graph, t *tmpl.Template, cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := checkIndexBytes(tree, k, !cfg.DisableLeafSpecial); err != nil {
+		return nil, err
+	}
 	e := &Engine{
-		g: g, t: t, cfg: cfg, k: k, tree: tree,
+		g: g, in: in, t: t, cfg: cfg, k: k, tree: tree,
 		prob:    colorfulProbability(k, t.K()),
 		aut:     t.Automorphisms(),
 		rAut:    t.RootedAutomorphisms(tree.Root.Root),
@@ -321,7 +438,7 @@ func New(g *graph.Graph, t *tmpl.Template, cfg Config) (*Engine, error) {
 		if _, ok := e.splits[key]; !ok {
 			e.splits[key] = comb.NewSplitTable(k, h, aN)
 		}
-		if !cfg.DisableLeafSpecial && h > 2 && (aN == 1 || h-aN == 1) {
+		if !cfg.DisableLeafSpecial && usesSingles(h, aN) {
 			if _, ok := e.singles[h]; !ok {
 				e.singles[h] = comb.SingletonSplits(k, h)
 			}

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/comb"
+	"repro/internal/graph"
 	"repro/internal/part"
 	"repro/internal/table"
 )
@@ -77,7 +78,11 @@ const directCellCost = 2
 // traversal's lane tables; the kernel decision — a function of degree
 // and widths only — is identical at every lane count.
 type kernelShape struct {
-	n       *part.Node
+	n *part.Node
+	// adj is the adjacency the node's cut edge walks: the engine graph,
+	// or for a directed engine the out- or in-arc CSR its template arc
+	// selects.
+	adj     *graph.Graph
 	split   *comb.SplitTable
 	singles [][]comb.SingletonEntry
 
@@ -114,9 +119,15 @@ type kernelShape struct {
 // active-single nodes on the upper half of the template, where each
 // neighbor's dense passive row (ncP = C(k,h-1) cells) is wider than the
 // 2α-weighted entry list the direct kernel reads.
+//
+// On a directed engine the node also binds its adjacency here: the
+// passive child's root must map to an out-neighbour of v when the
+// template arc points from the node's root to the passive root, and to
+// an in-neighbour otherwise.
 func (e *Engine) kernelShapeFor(n *part.Node, nc int) kernelShape {
 	ctx := kernelShape{
 		n:       n,
+		adj:     e.g,
 		split:   e.splits[[2]int{n.Size(), n.Active.Size()}],
 		singles: e.singles[n.Size()],
 		aN:      n.Active.Size(),
@@ -127,6 +138,9 @@ func (e *Engine) kernelShapeFor(n *part.Node, nc int) kernelShape {
 	ctx.ncA = int(comb.Binomial(e.k, ctx.aN))
 	ctx.ncP = int(comb.Binomial(e.k, ctx.pN))
 	ctx.spn = ctx.split.SplitsPerSet
+	if e.in != nil && !e.t.HasArc(n.Root, n.Passive.Root) {
+		ctx.adj = e.in
+	}
 
 	special := !e.cfg.DisableLeafSpecial
 	scatter := 2 * directCellCost // per-entry weight of the scatter kernels
@@ -188,7 +202,7 @@ func (st *batchState) vertexPass(ctx *nodeCtx, tab *table.Multi, v int32, sc *sc
 	if !ctx.act.Has(v) {
 		return
 	}
-	adj := st.e.g.Adj(v)
+	adj := ctx.adj.Adj(v)
 	if len(adj) == 0 {
 		return
 	}

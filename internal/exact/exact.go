@@ -3,9 +3,11 @@
 // backtracking. Templates may be arbitrary connected graphs: tree edges
 // guide the search (each vertex after the first extends from its BFS
 // parent's adjacency) and the remaining template edges are enforced as
-// back-edge checks against already-placed vertices. The package serves
-// two roles in the reproduction: the paper's "naïve exact count"
-// baseline used in the error and comparison experiments, and the
+// back-edge checks against already-placed vertices. Oriented tree
+// templates on digraphs run the same search, each vertex extending along
+// its parent image's out- or in-arcs as the template arc points. The
+// package serves two roles in the reproduction: the paper's "naïve exact
+// count" baseline used in the error and comparison experiments, and the
 // ground-truth oracle for validating the color-coding dynamic programs
 // (including exact colorful-count equivalence under a fixed coloring).
 // For the size-3/4 motif zoo, motifs.go supplies independent
@@ -25,6 +27,11 @@ type searcher struct {
 	t     *tmpl.Template
 	order []int // template vertices in BFS order from vertex 0
 	par   []int // par[i]: position in order of the BFS parent of order[i]
+	// ext[i] is the adjacency order[i]'s image is drawn from, read at its
+	// BFS parent's image: g itself for an undirected search; for an
+	// oriented template on a digraph, the out-arc CSR when the template
+	// arc points from the parent to order[i] and the in-arc CSR otherwise.
+	ext []*graph.Graph
 
 	// backChecks[i]: positions of earlier-placed template neighbors of
 	// order[i] other than its BFS parent. Empty at every position for tree
@@ -49,6 +56,7 @@ func newSearcher(g *graph.Graph, t *tmpl.Template) *searcher {
 		t:      t,
 		order:  make([]int, 0, k),
 		par:    make([]int, k),
+		ext:    make([]*graph.Graph, k),
 		assign: make([]int32, k),
 		used:   make(map[int32]bool, k),
 	}
@@ -60,6 +68,7 @@ func newSearcher(g *graph.Graph, t *tmpl.Template) *searcher {
 	s.par[0] = -1
 	for i := 0; i < len(s.order); i++ {
 		v := s.order[i]
+		s.ext[i] = g
 		for _, u := range t.Adj(v) {
 			if !seen[u] {
 				seen[u] = true
@@ -80,6 +89,24 @@ func newSearcher(g *graph.Graph, t *tmpl.Template) *searcher {
 			if j := pos[u]; j < i && j != s.par[i] {
 				s.backChecks[i] = append(s.backChecks[i], j)
 			}
+		}
+	}
+	return s
+}
+
+// newDirectedSearcher prepares a search for an oriented tree template
+// on a digraph: each template arc a → b must map onto a graph arc, so a
+// vertex whose arc points away from its BFS parent extends along the
+// parent image's out-arcs, and one whose arc points at it along the
+// in-arcs.
+func newDirectedSearcher(g *graph.Digraph, t *tmpl.Template) *searcher {
+	if !t.Oriented() {
+		panic(fmt.Sprintf("exact: directed search needs an oriented template, got %s", t.Name()))
+	}
+	s := newSearcher(g.OutCSR(), t)
+	for i := 1; i < len(s.order); i++ {
+		if !t.HasArc(s.order[s.par[i]], s.order[i]) {
+			s.ext[i] = g.InCSR()
 		}
 	}
 	return s
@@ -140,7 +167,7 @@ func (s *searcher) recurse(pos int) {
 		return
 	}
 	parent := s.assign[s.par[pos]]
-	for _, gv := range s.g.Adj(parent) {
+	for _, gv := range s.ext[pos].Adj(parent) {
 		try(gv)
 		if s.stop {
 			return
@@ -160,13 +187,47 @@ func CountMappings(g *graph.Graph, t *tmpl.Template) int64 {
 // Count returns the exact number of non-induced occurrences of the
 // template in g: CountMappings divided by |Aut(T)|.
 func Count(g *graph.Graph, t *tmpl.Template) int64 {
-	m := CountMappings(g, t)
+	return perAut(CountMappings(g, t), t)
+}
+
+// perAut divides a mapping count by |Aut(T)|, the number of mappings
+// per occurrence.
+func perAut(m int64, t *tmpl.Template) int64 {
 	aut := t.Automorphisms()
 	if m%aut != 0 {
 		// Cannot happen for correct automorphism counts; guard loudly.
 		panic(fmt.Sprintf("exact: mapping count %d not divisible by aut %d", m, aut))
 	}
 	return m / aut
+}
+
+// CountMappingsDirected returns the exact number of injective
+// direction-preserving mappings of the oriented tree template t into
+// the digraph g: each template arc a → b must map onto a graph arc.
+func CountMappingsDirected(g *graph.Digraph, t *tmpl.Template) int64 {
+	s := newDirectedSearcher(g, t)
+	s.recurse(0)
+	return s.count
+}
+
+// CountDirected returns the exact number of non-induced
+// direction-preserving occurrences of t in g: CountMappingsDirected
+// divided by the direction-preserving automorphism count.
+func CountDirected(g *graph.Digraph, t *tmpl.Template) int64 {
+	return perAut(CountMappingsDirected(g, t), t)
+}
+
+// CountColorfulMappingsDirected is CountColorfulMappings for an oriented
+// template on a digraph: the oracle of the directed DP's per-iteration
+// total.
+func CountColorfulMappingsDirected(g *graph.Digraph, t *tmpl.Template, colors []int8) int64 {
+	if len(colors) != g.N() {
+		panic("exact: coloring length mismatch")
+	}
+	s := newDirectedSearcher(g, t)
+	s.colors = colors
+	s.recurse(0)
+	return s.count
 }
 
 // CountColorfulMappings returns the exact number of mappings whose image

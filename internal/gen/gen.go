@@ -18,16 +18,33 @@ import (
 // uniformly without self-loops (duplicates are dropped during CSR build,
 // so the realized edge count can be marginally lower on dense inputs).
 func ErdosRenyiM(n int, m int64, seed int64) *graph.Graph {
+	return graph.MustFromEdges(n, randomPairs(n, m, seed), nil)
+}
+
+// RandomDigraph generates a uniform random digraph: m arcs sampled like
+// ErdosRenyiM's edges, with repeated arcs collapsing during the CSR
+// build.
+func RandomDigraph(n int, m int64, seed int64) *graph.Digraph {
+	return graph.MustFromArcs(n, randomPairs(n, m, seed))
+}
+
+// randomPairs draws m vertex pairs (u, v) with u != v, each endpoint
+// uniform over [0, n). Fewer than two vertices admit no such pair, so it
+// then draws nothing rather than loop forever.
+func randomPairs(n int, m int64, seed int64) [][2]int32 {
+	if n < 2 {
+		return nil
+	}
 	rng := rand.New(rand.NewSource(seed))
-	edges := make([][2]int32, 0, m)
-	for int64(len(edges)) < m {
+	pairs := make([][2]int32, 0, m)
+	for int64(len(pairs)) < m {
 		u := int32(rng.Intn(n))
 		v := int32(rng.Intn(n))
 		if u != v {
-			edges = append(edges, [2]int32{u, v})
+			pairs = append(pairs, [2]int32{u, v})
 		}
 	}
-	return graph.MustFromEdges(n, edges, nil)
+	return pairs
 }
 
 // BarabasiAlbert generates a preferential-attachment graph: starting from

@@ -21,6 +21,21 @@ func TestErdosRenyiM(t *testing.T) {
 	}
 }
 
+// TestRandomPairsTinyGraphs pins the G(n, m) samplers on graphs with
+// fewer than two vertices, where no pair has distinct endpoints: both
+// return the empty n-vertex graph instead of looping forever (n = 1) or
+// panicking in rand.Intn(0) (n = 0).
+func TestRandomPairsTinyGraphs(t *testing.T) {
+	for _, n := range []int{0, 1} {
+		if g := ErdosRenyiM(n, 3, 1); g.N() != n || g.M() != 0 {
+			t.Errorf("ErdosRenyiM(%d, 3): n=%d m=%d, want %d vertices and no edges", n, g.N(), g.M(), n)
+		}
+		if g := RandomDigraph(n, 3, 1); g.N() != n || g.A() != 0 {
+			t.Errorf("RandomDigraph(%d, 3): n=%d arcs=%d, want %d vertices and no arcs", n, g.N(), g.A(), n)
+		}
+	}
+}
+
 func TestErdosRenyiDeterministic(t *testing.T) {
 	a := ErdosRenyiM(200, 800, 99)
 	b := ErdosRenyiM(200, 800, 99)

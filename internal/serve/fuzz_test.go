@@ -11,6 +11,7 @@ import (
 
 	fascia "repro"
 	"repro/internal/dp"
+	"repro/internal/part"
 )
 
 // fuzzServer builds a fresh server per fuzz input: two tiny graphs ("g"
@@ -60,9 +61,9 @@ func checkErrorShape(t *testing.T, rec *httptest.ResponseRecorder) {
 // maxFuzzColors bounds the queries the count target runs: a tree
 // template counted with c colors allocates up to C(c, c/2) cells per
 // graph vertex and per scratch buffer, so among the queries the row-width
-// cap admits, the target runs only templates and color counts up to the
-// paper's largest template size. Queries over the cap are fuzzed: the
-// handler must refuse them before allocating.
+// and index-table caps admit, the target runs only templates and color
+// counts up to the paper's largest template size. Queries over either
+// cap are fuzzed: the handler must refuse them before allocating.
 const maxFuzzColors = 12
 
 // FuzzCountRequest feeds arbitrary bodies to POST /v1/count. No input
@@ -81,6 +82,7 @@ func FuzzCountRequest(f *testing.F) {
 		`{"graph":"g","template":"0-1 1-2","colors":2}`,
 		`{"graph":"g","template":"0-1 1-2","colors":5}`,
 		`{"graph":"g","template":"0-1 1-2 2-3 3-4 4-5 5-6 6-7 7-8 8-9 9-10 10-11","colors":32}`,
+		`{"graph":"g","template":"0-1 0-2 1-3 1-4 2-5 2-6 3-7 3-8 4-9 5-10 6-11","colors":22}`, // U12-2: over the index-table cap
 		`{"graph":"g","template":"0-1 1-2","iterations":5}`,
 		`{"graph":"g","template":"0-1 1-2","timeout_ms":1}`,
 		`{"graph":"g","template":"0-1 1-2","adaptive":-1}`,
@@ -99,7 +101,7 @@ func FuzzCountRequest(f *testing.F) {
 		var req CountRequest
 		if json.NewDecoder(bytes.NewReader(body)).Decode(&req) == nil {
 			if tr, err := fascia.ParseTemplate("q", req.Template); err == nil && max(tr.K(), req.Colors) > maxFuzzColors &&
-				dp.CheckRowWidth(tr.K(), req.Colors) == nil {
+				dp.CheckTables(tr, req.Colors, part.OneAtATime) == nil {
 				return
 			}
 		}

@@ -371,7 +371,8 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 // control → run-slot wait → residual DP run → cache extend → respond.
 // It answers 200 (a complete or partial count), 400 (an undecodable body
 // or an invalid query, including a template and color count whose DP
-// rows would exceed comb.MaxRowCells cells), 404 (an unknown graph), 429
+// rows would exceed comb.MaxRowCells cells or whose split and singleton
+// tables would exceed comb.MaxIndexBytes), 404 (an unknown graph), 429
 // (the wait queue is full), 503 (draining, or cancelled while queued)
 // and 500 (the engine failed on a query that passed validation).
 func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
@@ -435,7 +436,9 @@ func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, http.StatusBadRequest, "colors %d invalid for a %d-vertex template (want 0 or %d..%d)", req.Colors, tr.K(), tr.K(), comb.MaxColors)
 		return
 	}
-	if err := dp.CheckRowWidth(tr.K(), req.Colors); err != nil {
+	opt := fascia.DefaultOptions().WithSeed(req.Seed).WithMemBudgetBytes(s.cfg.MemBudgetBytes)
+	opt.Colors = req.Colors
+	if err := dp.CheckTables(tr, req.Colors, partStrategy(opt.Partition)); err != nil {
 		s.httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -447,8 +450,6 @@ func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
 		timeout = s.cfg.MaxTimeout
 	}
 
-	opt := fascia.DefaultOptions().WithSeed(req.Seed).WithMemBudgetBytes(s.cfg.MemBudgetBytes)
-	opt.Colors = req.Colors
 	key := CacheKey{
 		GraphHash: info.Hash,
 		Template:  tr.CanonicalFree(),

@@ -612,20 +612,34 @@ func TestServerConcurrentCacheHits(t *testing.T) {
 // cells (1.8 GB), so the query is refused with a 400 before admission,
 // without the handler allocating anything of that size.
 func TestCountRefusesWideRows(t *testing.T) {
+	refuseBeforeAdmission(t, `{"graph":"g","template":"0-1 1-2 2-3 3-4 4-5 5-6 6-7 7-8 8-9 9-10 10-11","colors":32,"iterations":1}`)
+}
+
+// TestCountRefusesLargeIndexTables pins the index-table cap at the
+// handler: U12-2 at 22 colors passes the row-width cap, but its
+// partition tree needs 523 MB of split and singleton tables, so the
+// query is refused with a 400 before admission.
+func TestCountRefusesLargeIndexTables(t *testing.T) {
+	refuseBeforeAdmission(t, `{"graph":"g","template":"0-1 0-2 1-3 1-4 2-5 2-6 3-7 3-8 4-9 5-10 6-11","colors":22,"iterations":1}`)
+}
+
+// refuseBeforeAdmission posts body and requires a 400 naming a cap,
+// under 1 MiB allocated by the handler, and no query or cache traffic.
+func refuseBeforeAdmission(t *testing.T, body string) {
+	t.Helper()
 	s := New(Config{Logf: func(string, ...any) {}})
 	if _, err := s.Registry().Add("g", fascia.ErdosRenyi(40, 80, 1)); err != nil {
 		t.Fatal(err)
 	}
-	body := []byte(`{"graph":"g","template":"0-1 1-2 2-3 3-4 4-5 5-6 6-7 7-8 8-9 9-10 10-11","colors":32,"iterations":1}`)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	rec := post(s, "/v1/count", body)
+	rec := post(s, "/v1/count", []byte(body))
 	runtime.ReadMemStats(&after)
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("status %d (%s), want 400", rec.Code, rec.Body.String())
 	}
 	if !strings.Contains(rec.Body.String(), "cap") {
-		t.Fatalf("400 body %q does not name the row-width cap", rec.Body.String())
+		t.Fatalf("400 body %q does not name the cap", rec.Body.String())
 	}
 	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
 		t.Fatalf("refusing the query allocated %d bytes, want under 1 MiB", alloc)

@@ -23,7 +23,9 @@ func mulAutSat(a, b int64) int64 {
 // CanonicalRooted returns the AHU canonical encoding of the template
 // rooted at root. Two rooted (optionally labeled) trees are isomorphic iff
 // their encodings are equal. Labels participate in the encoding, so
-// labeled templates only match when labels agree. Tree templates only
+// labeled templates only match when labels agree, and so do arc
+// directions (arcMark), so oriented templates only match when every
+// child's arc points the same way. Tree templates only
 // (AHU codes have no cheap general-graph analogue; non-tree callers use
 // IsIsomorphic, which branches to a backtracking search).
 func (t *Template) CanonicalRooted(root int) string {
@@ -43,7 +45,7 @@ func (t *Template) encode(v, parent int) string {
 	kids := make([]string, 0, len(t.adj[v]))
 	for _, u := range t.adj[v] {
 		if int(u) != parent {
-			kids = append(kids, t.encode(int(u), v))
+			kids = append(kids, t.arcMark(v, int(u))+t.encode(int(u), v))
 		}
 	}
 	sort.Strings(kids)
@@ -57,6 +59,20 @@ func (t *Template) encode(v, parent int) string {
 	}
 	sb = append(sb, ')')
 	return string(sb)
+}
+
+// arcMark prefixes the code of v's child u in an oriented template:
+// ">" for the arc v → u, "<" for u → v. Unoriented templates get no
+// prefix, which keeps their codes byte-identical to the plain AHU codes.
+func (t *Template) arcMark(v, u int) string {
+	switch {
+	case t.out == nil:
+		return ""
+	case t.HasArc(v, u):
+		return ">"
+	default:
+		return "<"
+	}
 }
 
 // Centroids returns the one or two centroid vertices of the tree: the
@@ -147,7 +163,7 @@ func (t *Template) rootedAut(v, parent int) (string, int64) {
 	for _, u := range t.adj[v] {
 		if int(u) != parent {
 			c, a := t.rootedAut(int(u), v)
-			kids = append(kids, kid{c, a})
+			kids = append(kids, kid{t.arcMark(v, int(u)) + c, a})
 		}
 	}
 	sort.Slice(kids, func(i, j int) bool { return kids[i].code < kids[j].code })
@@ -188,7 +204,8 @@ func (t *Template) RootedAutomorphisms(root int) int64 {
 // template. For trees an automorphism either fixes the centroid
 // (single-centroid case) or fixes/swaps the two centroids (two-centroid
 // case; swapping is possible iff the two halves are isomorphic as rooted
-// trees). Non-tree templates — where the sibling-subtree scan is
+// trees, and never in an oriented template, where the swap would reverse
+// the arc between the centroids). Non-tree templates — where the sibling-subtree scan is
 // meaningless — use the general orbit-stabilizer count (C4 = 8, K4 = 24,
 // tailed triangle = 2, ...), which is what keeps the estimate's
 // 1/|Aut| scale factor correct beyond trees.
@@ -203,7 +220,7 @@ func (t *Template) Automorphisms() int64 {
 	c1, c2 := cs[0], cs[1]
 	code1, a1 := t.rootedAut(c1, c2)
 	code2, a2 := t.rootedAut(c2, c1)
-	if code1 == code2 {
+	if code1 == code2 && t.out == nil {
 		return mulAutSat(2, mulAutSat(a1, a2))
 	}
 	return mulAutSat(a1, a2)

@@ -1,6 +1,7 @@
 // Package tmpl implements templates for subgraph counting: template
 // construction and validation (trees and general connected graphs up to
-// small treewidth), the paper's named templates (U3-1 ... U12-2), the
+// small treewidth, and oriented trees for directed counting), the
+// paper's named templates (U3-1 ... U12-2), the
 // size-3/4 motif zoo (cycles, cliques, diamond, tailed triangle), nice
 // tree decompositions for the beyond-trees DP, AHU canonical forms for
 // rooted and free trees, automorphism and orbit computation (tree
@@ -11,6 +12,7 @@ package tmpl
 
 import (
 	"fmt"
+	"math/rand"
 	"strconv"
 	"strings"
 )
@@ -19,13 +21,18 @@ import (
 // 0..K()-1. Most templates are trees (the paper's case); NewGraph also
 // admits connected non-tree templates, which the engine counts via a
 // tree decomposition of the template. Labels, when non-nil, assigns an
-// integer label per template vertex for labeled counting. Templates are
-// immutable after construction.
+// integer label per template vertex for labeled counting. An oriented
+// template (NewDiTree) is a tree that also fixes a direction on every
+// edge, for counting in directed graphs. Templates are immutable after
+// construction.
 type Template struct {
 	name   string
 	adj    [][]int8
 	labels []int32
 	tree   bool
+	// out, when non-nil, orients the template: bit b of out[a] is set
+	// when the template has the arc a → b.
+	out []uint64
 }
 
 // NewTree builds a template from an undirected edge list over vertices
@@ -97,6 +104,31 @@ func NewGraph(name string, k int, edges [][2]int, labels []int32) (*Template, er
 	return t, nil
 }
 
+// NewDiTree builds an oriented tree template from arcs (from, to) whose
+// underlying edges must form a tree on k vertices: every edge carries
+// exactly the direction its arc gives it.
+func NewDiTree(name string, k int, arcs [][2]int) (*Template, error) {
+	t, err := NewTree(name, k, arcs, nil)
+	if err != nil {
+		return nil, err
+	}
+	t.out = make([]uint64, k)
+	for _, a := range arcs {
+		t.out[a[0]] |= 1 << uint(a[1])
+	}
+	return t, nil
+}
+
+// MustDiTree is NewDiTree for statically known-valid inputs; it panics
+// on error.
+func MustDiTree(name string, k int, arcs [][2]int) *Template {
+	t, err := NewDiTree(name, k, arcs)
+	if err != nil {
+		panic(err)
+	}
+	return t
+}
+
 // MustTree is NewTree for statically known-valid inputs; it panics on
 // error.
 func MustTree(name string, k int, edges [][2]int, labels []int32) *Template {
@@ -157,6 +189,33 @@ func (t *Template) HasEdge(u, v int) bool {
 	return false
 }
 
+// Oriented reports whether the template fixes a direction on every edge
+// (NewDiTree).
+func (t *Template) Oriented() bool { return t.out != nil }
+
+// HasArc reports whether the oriented template contains the arc a → b;
+// it is false for every pair of an unoriented template.
+func (t *Template) HasArc(a, b int) bool {
+	return t.out != nil && t.out[a]>>uint(b)&1 != 0
+}
+
+// Arcs returns the arcs (from, to) of an oriented template in ascending
+// order, and nil for an unoriented one.
+func (t *Template) Arcs() [][2]int {
+	if t.out == nil {
+		return nil
+	}
+	out := make([][2]int, 0, t.K()-1)
+	for a := range t.out {
+		for b := range t.adj {
+			if t.HasArc(a, b) {
+				out = append(out, [2]int{a, b})
+			}
+		}
+	}
+	return out
+}
+
 // Label returns the label of template vertex v (0 when unlabeled).
 func (t *Template) Label(v int) int32 {
 	if t.labels == nil {
@@ -178,9 +237,15 @@ func (t *Template) Edges() [][2]int {
 	return out
 }
 
-// WithLabels returns a copy of t carrying the given vertex labels.
+// WithLabels returns a copy of t carrying the given vertex labels, and
+// t's arc directions when t is oriented.
 func (t *Template) WithLabels(name string, labels []int32) (*Template, error) {
-	return NewGraph(name, t.K(), t.Edges(), labels)
+	c, err := NewGraph(name, t.K(), t.Edges(), labels)
+	if err != nil {
+		return nil, err
+	}
+	c.out = t.out
+	return c, nil
 }
 
 // String renders the template as its name and edge list.
@@ -253,6 +318,50 @@ func Star(k int) *Template {
 		edges = append(edges, [2]int{0, i})
 	}
 	return MustTree(fmt.Sprintf("S%d", k), k, edges, nil)
+}
+
+// DiPath returns the directed path 0→1→…→k-1.
+func DiPath(k int) *Template {
+	arcs := make([][2]int, 0, k-1)
+	for i := 0; i < k-1; i++ {
+		arcs = append(arcs, [2]int{i, i + 1})
+	}
+	return MustDiTree(fmt.Sprintf("DP%d", k), k, arcs)
+}
+
+// DiStarOut returns the out-star: center 0 with arcs to k-1 leaves.
+func DiStarOut(k int) *Template {
+	arcs := make([][2]int, 0, k-1)
+	for i := 1; i < k; i++ {
+		arcs = append(arcs, [2]int{0, i})
+	}
+	return MustDiTree(fmt.Sprintf("DSout%d", k), k, arcs)
+}
+
+// DiStarIn returns the in-star: k-1 leaves with arcs into center 0.
+func DiStarIn(k int) *Template {
+	arcs := make([][2]int, 0, k-1)
+	for i := 1; i < k; i++ {
+		arcs = append(arcs, [2]int{i, 0})
+	}
+	return MustDiTree(fmt.Sprintf("DSin%d", k), k, arcs)
+}
+
+// RandomDiTemplate returns a seeded random oriented tree on k vertices:
+// vertex v >= 1 attaches to a uniform earlier vertex, by an arc of
+// uniform direction.
+func RandomDiTemplate(k int, seed int64) *Template {
+	rng := rand.New(rand.NewSource(seed))
+	arcs := make([][2]int, 0, k-1)
+	for v := 1; v < k; v++ {
+		p := rng.Intn(v)
+		if rng.Intn(2) == 0 {
+			arcs = append(arcs, [2]int{p, v})
+		} else {
+			arcs = append(arcs, [2]int{v, p})
+		}
+	}
+	return MustDiTree(fmt.Sprintf("DR%d", k), k, arcs)
 }
 
 // Spider returns a spider: vertex 0 is the center and one path of each

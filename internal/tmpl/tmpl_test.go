@@ -242,6 +242,13 @@ func TestAutomorphismsSaturate(t *testing.T) {
 		if got := Star(k).Automorphisms(); got != math.MaxInt64 {
 			t.Errorf("Aut(star %d) = %d, want saturation at MaxInt64", k, got)
 		}
+		// Oriented stars keep the whole leaf symmetry, so they saturate
+		// too, and never wrap negative.
+		for _, s := range []*Template{DiStarOut(k), DiStarIn(k)} {
+			if got := s.Automorphisms(); got != math.MaxInt64 {
+				t.Errorf("Aut(%s) = %d, want saturation at MaxInt64", s.Name(), got)
+			}
+		}
 	}
 }
 
