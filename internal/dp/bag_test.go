@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/exact"
+	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/tmpl"
 )
@@ -212,9 +213,14 @@ func TestBagCancellation(t *testing.T) {
 
 // TestBagCancelMidIteration cancels a bag-DP run half-way through its
 // second iteration, on a C5 workload whose iterations take a few hundred
-// milliseconds: RunContext must return within 100ms of the cancel, with
+// milliseconds, in Inner mode and in Outer mode at two workers:
+// RunContext must return within 100ms of the cancel, with
 // Stats.Cancelled set, a seed-order prefix kept exactly as an
-// uncancelled run computes it, and no goroutine left behind.
+// uncancelled run computes it, and no goroutine left behind. The same
+// engine then runs the uncancelled stream, which must equal a fresh
+// engine's bit for bit: an introduce, forget or join cut short must
+// leave no stale marker, rowOf or index entry in the slabs it hands
+// back to the arena.
 func TestBagCancelMidIteration(t *testing.T) {
 	if testing.Short() {
 		t.Skip("needs iterations of a few hundred milliseconds")
@@ -224,67 +230,181 @@ func TestBagCancelMidIteration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig()
-	cfg.Seed = 3
-	cfg.Mode = Inner // iterations run one after another
-	e, err := New(g, c5, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	first := e.scale(e.ColorfulTotal(cfg.Seed))
-	per := time.Since(start)
+	for _, c := range []struct {
+		mode    Mode
+		workers int
+	}{{Inner, 0}, {Outer, 2}} {
+		cfg := DefaultConfig()
+		cfg.Seed = 3
+		cfg.Mode = c.mode
+		cfg.Workers = c.workers
+		fresh, err := New(g, c5, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		first := fresh.scale(fresh.ColorfulTotal(cfg.Seed))
+		per := time.Since(start)
 
-	before := runtime.NumGoroutine()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var cancelTime time.Time
-	var timer *time.Timer
-	cfg.OnIteration = func(i int, _ float64, _ time.Duration) {
-		if i == 0 {
-			timer = time.AfterFunc(per/2, func() {
-				cancelTime = time.Now()
-				cancel()
+		before := runtime.NumGoroutine()
+		ctx, cancel := context.WithCancel(context.Background())
+		var cancelTime time.Time
+		var timer *time.Timer
+		cfg.OnIteration = func(i int, _ float64, _ time.Duration) {
+			if i == 0 && timer == nil {
+				timer = time.AfterFunc(per/2, func() {
+					cancelTime = time.Now()
+					cancel()
+				})
+			}
+		}
+		e, err := New(g, c5, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.RunContext(ctx, 4)
+		returned := time.Now()
+		if timer != nil {
+			timer.Stop()
+		}
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%v: err = %v, want context.Canceled", c.mode, err)
+		}
+		if cancelTime.IsZero() {
+			t.Fatalf("%v: run finished before the cancel fired", c.mode)
+		}
+		if lat := returned.Sub(cancelTime); lat > 100*time.Millisecond {
+			t.Errorf("%v: returned %v after cancellation, want <= 100ms (iterations take %v)", c.mode, lat, per)
+		}
+		if !res.Stats.Cancelled {
+			t.Errorf("%v: Stats.Cancelled not set", c.mode)
+		}
+		// The cancel lands in iteration 2 unless its timer runs late, so
+		// the run keeps iteration 1, or a longer seed-order prefix.
+		if n := len(res.PerIteration); n < 1 || n > 3 || res.PerIteration[0] != first {
+			t.Fatalf("%v: kept %v, want a prefix of 1 to 3 iterations starting with %v", c.mode, res.PerIteration, first)
+		}
+		want, err := fresh.RunContext(context.Background(), 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, est := range res.PerIteration {
+			if est != want.PerIteration[i] {
+				t.Errorf("%v: iteration %d kept %v, uncancelled %v", c.mode, i, est, want.PerIteration[i])
+			}
+		}
+		again, err := e.RunContext(context.Background(), 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, est := range again.PerIteration {
+			if est != want.PerIteration[i] {
+				t.Errorf("%v: after the cancel, iteration %d reads %v, a fresh engine %v", c.mode, i, est, want.PerIteration[i])
+			}
+		}
+		deadline := time.Now().Add(2 * time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			time.Sleep(10 * time.Millisecond)
+		}
+		if after := runtime.NumGoroutine(); after > before {
+			t.Errorf("%v: goroutines leaked: %d before, %d after", c.mode, before, after)
+		}
+	}
+}
+
+// TestBagAutoModeIsOuter checks that a bag engine resolves Auto and
+// Hybrid to Outer even past autoInnerThreshold, where a partition-tree
+// engine would pick Inner: a bag iteration runs on one worker, so Inner
+// would leave the others idle. The stream stays bit-identical to an
+// Inner run's.
+func TestBagAutoModeIsOuter(t *testing.T) {
+	g := gen.ErdosRenyiM(autoInnerThreshold, 2*autoInnerThreshold, 1)
+	paw := tmpl.MustZoo("tailed-triangle")
+	run := func(mode Mode) Result {
+		cfg := DefaultConfig()
+		cfg.Mode = mode
+		cfg.Workers = 2
+		cfg.Seed = 5
+		e, err := New(g, paw, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.Run(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	want := run(Inner)
+	if want.ModeUsed != Inner {
+		t.Fatalf("explicit Inner resolved to %v", want.ModeUsed)
+	}
+	if want.Estimate == 0 {
+		t.Fatal("no paw counted; the comparison checks nothing")
+	}
+	for _, mode := range []Mode{Auto, Hybrid} {
+		got := run(mode)
+		if got.ModeUsed != Outer {
+			t.Errorf("%v on %d vertices resolved to %v, want Outer", mode, g.N(), got.ModeUsed)
+		}
+		for i := range want.PerIteration {
+			if got.PerIteration[i] != want.PerIteration[i] {
+				t.Errorf("%v: iteration %d = %v, Inner %v", mode, i, got.PerIteration[i], want.PerIteration[i])
+			}
+		}
+	}
+}
+
+// TestBagWarmRunAllocs pins the bag DP's slab recycling: once a run has
+// warmed an engine's arenas and high-water marks, repeating it takes
+// every node table, marker array and row index from the arena, so
+// RunContext allocates a few dozen fixed objects (run bookkeeping, one
+// rng per iteration) and no memory that grows with the graph or the
+// tables. The templates cover 2- and 3-vertex keys in both forget and
+// join, and the warm-up covers the index's growth.
+func TestBagWarmRunAllocs(t *testing.T) {
+	g := randomGraph(rand.New(rand.NewSource(8)), 1500, 22500)
+	ctx := context.Background()
+	for _, spec := range []string{
+		"0-1 1-2 2-0 0-3",         // paw: forget to 2-vertex keys
+		"0-1 0-2 0-3 1-2 1-3 2-3", // K4: forget to 3-vertex keys
+		"0-1 1-2 2-0 1-3 2-4",     // joins over 2- and 1-vertex bags
+		"0-1 1-2 2-0 0-3 0-4",     // a join over a 3-vertex bag
+	} {
+		tr, err := tmpl.ParseGraph(spec, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 2} {
+			cfg := DefaultConfig()
+			cfg.Workers = workers
+			e, err := New(g, tr, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			warm, err := e.RunContext(ctx, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if warm.Estimate == 0 {
+				t.Fatalf("%s: nothing counted; the pin checks nothing", spec)
+			}
+			const runs = 3
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			allocs := testing.AllocsPerRun(runs, func() {
+				if _, err := e.RunContext(ctx, 4); err != nil {
+					t.Fatal(err)
+				}
 			})
+			runtime.ReadMemStats(&after)
+			perRun := (after.TotalAlloc - before.TotalAlloc) / (runs + 1)
+			if allocs > 120 || perRun > 64<<10 {
+				t.Errorf("%s, %d workers: a warm RunContext(ctx, 4) allocated %v objects and %d bytes, want <= 120 and <= 64 KiB",
+					spec, workers, allocs, perRun)
+			}
 		}
-	}
-	e, err = New(g, c5, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := e.RunContext(ctx, 4)
-	returned := time.Now()
-	if timer != nil {
-		timer.Stop()
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if cancelTime.IsZero() {
-		t.Fatal("run finished before the cancel fired")
-	}
-	if lat := returned.Sub(cancelTime); lat > 100*time.Millisecond {
-		t.Errorf("returned %v after cancellation, want <= 100ms (iterations take %v)", lat, per)
-	}
-	if !res.Stats.Cancelled {
-		t.Error("Stats.Cancelled not set")
-	}
-	// The cancel lands in iteration 2 unless its timer runs late, so the
-	// run keeps iteration 1, or a longer seed-order prefix.
-	if n := len(res.PerIteration); n < 1 || n > 3 || res.PerIteration[0] != first {
-		t.Fatalf("kept %v, want a prefix of 1 to 3 iterations starting with %v", res.PerIteration, first)
-	}
-	for i := 1; i < len(res.PerIteration); i++ {
-		if want := e.scale(e.ColorfulTotal(cfg.Seed + int64(i))); res.PerIteration[i] != want {
-			t.Errorf("iteration %d kept %v, uncancelled %v", i, res.PerIteration[i], want)
-		}
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if after := runtime.NumGoroutine(); after > before {
-		t.Errorf("goroutines leaked: %d before, %d after", before, after)
 	}
 }
 

@@ -93,16 +93,22 @@ func TestEngineValidation(t *testing.T) {
 
 // TestTableSizeCap pins comb.MaxIndexBytes: 12-vertex trees and the
 // 22-vertex stars at 22 colors pass the row-width cap but need hundreds
-// of MB of split and singleton tables, so New and NewDirected refuse
-// them with a *TableSizeError before building any table, and CheckTables
-// reports the same without a graph. The paper's templates stay far
-// below the cap.
+// of MB of split and singleton tables, and the triangle with three
+// 3-vertex tails needs 487 MB of bag-DP split tables plus 38 MB of
+// gather and scatter tables, so New and NewDirected refuse them with a
+// *TableSizeError before building any table, and CheckTables reports
+// the same without a graph. The paper's templates, and the tailed
+// triangle at 16 colors, stay below the cap and build.
 func TestTableSizeCap(t *testing.T) {
 	g := gen.ErdosRenyiM(30, 60, 1)
 	dg := gen.RandomDigraph(30, 60, 1)
 	cfg := DefaultConfig()
 	cfg.Colors = 22
-	for _, tr := range []*tmpl.Template{tmpl.MustNamed("U12-1"), tmpl.MustNamed("U12-2"), tmpl.Star(22), tmpl.DiStarOut(22)} {
+	tails, err := tmpl.ParseGraph("tails", "0-1 1-2 2-0 0-3 3-4 4-5 1-6 6-7 7-8 2-9 9-10 10-11")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tr := range []*tmpl.Template{tmpl.MustNamed("U12-1"), tmpl.MustNamed("U12-2"), tmpl.Star(22), tmpl.DiStarOut(22), tails} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		var err error
@@ -127,5 +133,12 @@ func TestTableSizeCap(t *testing.T) {
 		if err := CheckTables(tr, 0, part.Balanced); err != nil {
 			t.Errorf("%s at its own color count refused: %v", tr.Name(), err)
 		}
+	}
+	cfg.Colors = 16
+	if err := CheckTables(tails, 16, part.OneAtATime); err != nil {
+		t.Errorf("CheckTables(%s, 16): %v", tails.Name(), err)
+	}
+	if _, err := New(g, tails, cfg); err != nil {
+		t.Errorf("%s at 16 colors refused: %v", tails.Name(), err)
 	}
 }

@@ -31,7 +31,7 @@ type Mode int
 
 const (
 	// Auto picks Inner for large graphs and Outer for small ones, as the
-	// paper recommends.
+	// paper recommends; bag engines always take Outer.
 	Auto Mode = iota
 	// Inner parallelizes the per-vertex loop inside each DP pass.
 	Inner
@@ -75,7 +75,10 @@ type Config struct {
 	Strategy part.Strategy
 	// Share merges isomorphic rooted subtemplates (memory for time).
 	Share bool
-	// Mode selects the parallelization strategy.
+	// Mode selects the parallelization strategy. Bag-DP engines
+	// (non-tree templates, and trees under ForceBagDP) have no inner
+	// workers: Auto and Hybrid resolve to Outer for them, and an
+	// explicit Inner runs their iterations one at a time.
 	Mode Mode
 	// Workers bounds the goroutines used; 0 means GOMAXPROCS.
 	Workers int
@@ -257,27 +260,31 @@ func CheckRowWidth(k, colors int) error {
 	return nil
 }
 
-// TableSizeError is New's error for a partition tree whose split and
-// singleton index tables would together exceed comb.MaxIndexBytes.
+// TableSizeError is New's error for a template whose combinatorial
+// index tables would together exceed comb.MaxIndexBytes: the split and
+// singleton tables of a partition tree, or the split, gather and
+// scatter tables of a bag-DP decomposition.
 type TableSizeError struct {
 	K, Colors int   // template vertices and colors
 	Bytes     int64 // summed index-table bytes
 }
 
 func (e *TableSizeError) Error() string {
-	return fmt.Sprintf("dp: %d colors for a %d-vertex template need %d bytes of split and singleton tables, above the %d-byte cap",
+	return fmt.Sprintf("dp: %d colors for a %d-vertex template need %d bytes of index tables, above the %d-byte cap",
 		e.Colors, e.K, e.Bytes, comb.MaxIndexBytes)
 }
 
 // CheckTables returns the typed size error New would return for template
 // t at colors colors (0 = t.K()) under strategy, without a graph: a
 // *RowWidthError (CheckRowWidth), or a *TableSizeError when the
-// unshared, automatically rooted partition tree needs index tables above
-// comb.MaxIndexBytes. It builds only that tree, so a server can refuse a
-// query before admitting it. Color counts outside [t.K(),
-// comb.MaxColors] are New's other errors; CheckTables passes them, and
-// non-tree templates pass the table check (the bag DP builds no
-// partition tree).
+// template's index tables exceed comb.MaxIndexBytes. For a tree those
+// are the split and singleton tables of the unshared, automatically
+// rooted partition tree; for any other template, the split, gather and
+// scatter tables of the bag DP over its tree decomposition. It builds
+// only the tree or the decomposition, so a server can refuse a query
+// before admitting it. Color counts outside [t.K(), comb.MaxColors] and
+// templates New cannot decompose are New's other errors; CheckTables
+// passes them.
 func CheckTables(t *tmpl.Template, colors int, strategy part.Strategy) error {
 	if err := CheckRowWidth(t.K(), colors); err != nil {
 		return err
@@ -286,8 +293,15 @@ func CheckTables(t *tmpl.Template, colors int, strategy part.Strategy) error {
 	if k == 0 {
 		k = t.K()
 	}
-	if k < t.K() || k > comb.MaxColors || !t.IsTree() {
+	if k < t.K() || k > comb.MaxColors {
 		return nil
+	}
+	if !t.IsTree() {
+		d, err := tmpl.Decompose(t)
+		if err != nil {
+			return nil // New reports it
+		}
+		return checkBagBytes(d, t.K(), k)
 	}
 	tree, err := part.Build(t, strategy, false)
 	if err != nil {
@@ -551,14 +565,16 @@ func (e *Engine) arenas() []*table.Arena {
 
 // slotArena returns the arena of concurrent batch slot w: the engine
 // arena for slot 0, a slot-owned one (spilling like the engine arena)
-// otherwise. Callers serialize it.
+// otherwise. Bag engines never spill: they leave outgrown slabs to the
+// collector, and a spill mapping would outlive its slab. Callers
+// serialize it.
 func (e *Engine) slotArena(w int) *table.Arena {
 	if w == 0 {
 		return e.arena
 	}
 	for len(e.slotArenas) < w {
 		a := &table.Arena{}
-		if e.memBytes > 0 {
+		if e.memBytes > 0 && e.bag == nil {
 			a.SetSpill(0)
 		}
 		e.slotArenas = append(e.slotArenas, a)
@@ -609,10 +625,16 @@ func (e *Engine) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// mode resolves Auto into a concrete mode following the paper's guidance.
+// mode resolves Auto into a concrete mode following the paper's
+// guidance. A bag-DP iteration runs on one worker, so Auto and Hybrid
+// resolve to Outer for bag engines, whatever the graph's size.
 func (e *Engine) mode() Mode {
-	if e.cfg.Mode != Auto {
-		return e.cfg.Mode
+	m := e.cfg.Mode
+	if e.bag != nil && (m == Auto || m == Hybrid) {
+		return Outer
+	}
+	if m != Auto {
+		return m
 	}
 	if e.g.N() >= autoInnerThreshold {
 		return Inner

@@ -24,9 +24,9 @@ type Ordering struct {
 // ordering: vertices are stably partitioned into logarithmic degree
 // buckets (bucket id = bits.Len(degree)), highest bucket first,
 // preserving ascending original-id order within each bucket. High-degree
-// vertices — whose table rows are gathered most often by the DP's
-// aggregate kernel — end up contiguous at the front of the id space, so
-// a column tile's hot rows pack into the fewest cache lines and pages.
+// vertices — whose table rows every neighbor's vertex pass reads, so
+// they are read most often — end up contiguous at the front of the id
+// space, where their rows pack into the fewest cache lines and pages.
 //
 // The construction is a counting sort: O(N) time, no comparisons, and
 // fully determined by the degree sequence, so repeated runs (and runs on

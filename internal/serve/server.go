@@ -371,7 +371,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 // control → run-slot wait → residual DP run → cache extend → respond.
 // It answers 200 (a complete or partial count), 400 (an undecodable body
 // or an invalid query, including a template and color count whose DP
-// rows would exceed comb.MaxRowCells cells or whose split and singleton
+// rows would exceed comb.MaxRowCells cells or whose combinatorial index
 // tables would exceed comb.MaxIndexBytes), 404 (an unknown graph), 429
 // (the wait queue is full), 503 (draining, or cancelled while queued)
 // and 500 (the engine failed on a query that passed validation).

@@ -141,7 +141,9 @@ type ParallelMode int
 
 const (
 	// ParallelAuto picks inner-loop parallelism for large graphs and
-	// outer-loop for small ones. The default.
+	// outer-loop for small ones. The default. Non-tree templates run the
+	// bag DP, which has no inner workers, so Auto and Hybrid take
+	// outer-loop parallelism for them.
 	ParallelAuto ParallelMode = iota
 	// ParallelInner shards the per-vertex loop of each DP pass.
 	ParallelInner
