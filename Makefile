@@ -114,7 +114,6 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadBinary -fuzztime=$(FUZZTIME) ./internal/graph
 	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=$(FUZZTIME) ./internal/tmpl
 	$(GO) test -run='^$$' -fuzz=FuzzParseGraph -fuzztime=$(FUZZTIME) ./internal/tmpl
-	$(GO) test -run='^$$' -fuzz=FuzzSuccinctRow -fuzztime=$(FUZZTIME) ./internal/table
 	$(GO) test -run='^$$' -fuzz=FuzzRowsFrame -fuzztime=$(FUZZTIME) ./internal/shard
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeRun -fuzztime=$(FUZZTIME) ./internal/shard
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeHello -fuzztime=$(FUZZTIME) ./internal/shard

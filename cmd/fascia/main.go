@@ -46,7 +46,7 @@ func run(args []string) error {
 		colors     = fs.Int("colors", 0, "number of colors (0 = template size)")
 		threads    = fs.Int("threads", 0, "worker goroutines (0 = GOMAXPROCS)")
 		mode       = fs.String("parallel", "auto", "parallelization: auto, inner, outer, hybrid")
-		layout     = fs.String("table", "lazy", "table layout: lazy, naive, hash, succinct")
+		layout     = fs.String("table", "lazy", "table layout: lazy, naive, hash")
 		kernel     = fs.String("kernel", "auto", "DP combination kernel: auto, direct, aggregate")
 		batch      = fs.String("batch", "1", "iteration batch width: lanes per DP traversal (an integer, or \"auto\")")
 		mem        = fs.Int64("mem", 0, "peak table-memory budget in bytes: large slabs spill to file-backed mappings (0 = FASCIA_MEM_BYTES env or unlimited, negative = never spill)")
@@ -141,8 +141,6 @@ func run(args []string) error {
 		opt = opt.WithTable(fascia.TableNaive)
 	case "hash":
 		opt = opt.WithTable(fascia.TableHash)
-	case "succinct":
-		opt = opt.WithTable(fascia.TableSuccinct)
 	default:
 		return fmt.Errorf("unknown -table %q", *layout)
 	}

@@ -92,6 +92,7 @@ func TestRunEndToEnd(t *testing.T) {
 	for _, bad := range [][]string{
 		{"-network", "circuit", "-parallel", "bogus"},
 		{"-network", "circuit", "-table", "bogus"},
+		{"-network", "circuit", "-table", "succinct"},
 		{"-network", "circuit", "-partition", "bogus"},
 		{"-template", "U3-1"}, // no graph
 	} {

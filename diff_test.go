@@ -78,7 +78,7 @@ func diffCombos() []struct {
 		name string
 		opt  Options
 	}
-	for _, layout := range []TableLayout{TableLazy, TableNaive, TableHash, TableSuccinct} {
+	for _, layout := range []TableLayout{TableLazy, TableNaive, TableHash} {
 		for _, kernel := range []KernelChoice{KernelAuto, KernelDirect, KernelAggregate} {
 			for _, batch := range []int{1, 4} {
 				for _, mode := range []ParallelMode{ParallelInner, ParallelOuter, ParallelHybrid} {
@@ -516,7 +516,7 @@ func TestOracleDifferentialDirected(t *testing.T) {
 		name string
 		opt  Options
 	}
-	for _, layout := range []TableLayout{TableLazy, TableNaive, TableHash, TableSuccinct} {
+	for _, layout := range []TableLayout{TableLazy, TableNaive, TableHash} {
 		for _, kernel := range []KernelChoice{KernelAuto, KernelDirect, KernelAggregate} {
 			for _, batch := range []int{1, 4, BatchAuto} {
 				for _, mode := range []ParallelMode{ParallelInner, ParallelOuter, ParallelHybrid} {

@@ -119,6 +119,16 @@ func TestInvalidOptionEnums(t *testing.T) {
 	if _, err := Count(g, tr, bad); err == nil {
 		t.Fatal("bad table layout accepted")
 	}
+	// TableLayout(3) named the removed compressed-row layout; it is
+	// unknown now.
+	bad.Table = TableLayout(3)
+	const unknown = "fascia: unknown table layout 3"
+	if _, err := NewEngine(g, tr, bad); err == nil || err.Error() != unknown {
+		t.Fatalf("NewEngine with TableLayout(3): %v, want %q", err, unknown)
+	}
+	if _, err := Count(g, tr, bad); err == nil || err.Error() != unknown {
+		t.Fatalf("Count with TableLayout(3): %v, want %q", err, unknown)
+	}
 	bad = DefaultOptions()
 	bad.Partition = PartitionStrategy(9)
 	if _, err := Count(g, tr, bad); err == nil {

@@ -176,7 +176,7 @@ func TestPipelineTableLayoutsAgree(t *testing.T) {
 	tr := MustTemplate("U5-1")
 	opt := DefaultOptions().WithIterations(3).WithSeed(13)
 	var base []float64
-	for _, layout := range []TableLayout{TableLazy, TableNaive, TableHash, TableSuccinct} {
+	for _, layout := range []TableLayout{TableLazy, TableNaive, TableHash} {
 		res, err := Count(g, tr, opt.WithTable(layout))
 		if err != nil {
 			t.Fatal(err)

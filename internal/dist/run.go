@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/comb"
+	"repro/internal/dp"
 )
 
 // RankResult reports one rank's share of one iteration.
@@ -39,7 +40,7 @@ func (e *Engine) RunContext(ctx context.Context, iters int) (Result, error) {
 	if iters < 1 {
 		return Result{}, fmt.Errorf("dist: iterations must be >= 1, got %d", iters)
 	}
-	stop, release := watchContext(ctx)
+	stop, release := dp.WatchContext(ctx)
 	defer release()
 	res := Result{PerIteration: make([]float64, 0, iters)}
 	var comm CommStats
@@ -191,22 +192,4 @@ func (e *Engine) checkPacket(pk Packet, r, step, src int) error {
 		}
 	}
 	return nil
-}
-
-// watchContext arms a cancellation flag the rank-local DP sweeps poll
-// with one atomic load per vertex. The release func detaches the
-// watcher.
-func watchContext(ctx context.Context) (stop *atomic.Bool, release func()) {
-	if ctx == nil || ctx.Done() == nil {
-		return nil, func() {}
-	}
-	var b atomic.Bool
-	if ctx.Err() != nil {
-		// AfterFunc fires asynchronously even for a dead context; set the
-		// flag synchronously so not a single iteration starts.
-		b.Store(true)
-		return &b, func() {}
-	}
-	cancel := context.AfterFunc(ctx, func() { b.Store(true) })
-	return &b, func() { cancel() }
 }

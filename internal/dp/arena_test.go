@@ -16,7 +16,7 @@ import (
 // tree, not the coloring, so every slab class recurs exactly.
 func TestArenaReuseAcrossIterations(t *testing.T) {
 	for _, lanes := range []int{1, 4} {
-		for _, kind := range []table.Kind{table.Lazy, table.Naive, table.Hash, table.Succinct} {
+		for _, kind := range []table.Kind{table.Lazy, table.Naive, table.Hash} {
 			rng := rand.New(rand.NewSource(1))
 			g := randomGraph(rng, 500, 2500)
 			cfg := DefaultConfig()

@@ -75,8 +75,8 @@ type batchState struct {
 // covers any traversal of at most Engine.batch lanes.
 type scratch struct {
 	buf      []float64 // output rows, nc*L
-	actRow   []float64 // materialized active lane row (hash/succinct fallback)
-	pasRow   []float64 // materialized passive lane row (hash/succinct fallback)
+	actRow   []float64 // materialized active lane row (hash layout)
+	pasRow   []float64 // materialized passive lane row (hash layout)
 	agg      []float64 // aggregated neighbor lane rows, ncP*L
 	colorAgg []float64 // per-(color, lane) neighbor sums, k*L
 	avB      []float64 // per-lane active root-cell values, L
@@ -103,10 +103,10 @@ func (e *Engine) putScratch(sc *scratch) {
 }
 
 // newBatchState prepares a batch of lanes colorings: lane j is colored
-// by rand.NewSource(baseSeed+j) drawing exactly the per-vertex stream a
-// one-lane traversal with that seed would draw. lanes must not exceed
-// the engine's batch width (the pooled scratch is sized to it). The
-// state draws its slabs from arena and returns them there.
+// by a generator seeded with baseSeed+j, drawing exactly the per-vertex
+// stream a one-lane traversal with that seed would draw. lanes must not
+// exceed the engine's batch width (the pooled scratch is sized to it).
+// The state draws its slabs from arena and returns them there.
 func (e *Engine) newBatchState(arena *table.Arena, baseSeed int64, lanes, workers int) *batchState {
 	n := e.g.N()
 	st := &batchState{
@@ -121,8 +121,12 @@ func (e *Engine) newBatchState(arena *table.Arena, baseSeed int64, lanes, worker
 		hi:        int32(n),
 		totals:    make([]float64, lanes),
 	}
+	rng, _ := e.rngs.Get().(*rand.Rand)
+	if rng == nil {
+		rng = rand.New(rand.NewSource(baseSeed))
+	}
 	for j := 0; j < lanes; j++ {
-		rng := rand.New(rand.NewSource(baseSeed + int64(j)))
+		rng.Seed(baseSeed + int64(j))
 		if e.ord != nil {
 			// Degree-bucketed execution order: draw the stream in
 			// ORIGINAL vertex-id order (the exact per-vertex sequence an
@@ -139,6 +143,7 @@ func (e *Engine) newBatchState(arena *table.Arena, baseSeed int64, lanes, worker
 			}
 		}
 	}
+	e.rngs.Put(rng)
 	if e.tree != nil {
 		for _, nd := range e.tree.Nodes {
 			st.remaining[nd] = nd.Consumers

@@ -32,7 +32,7 @@ func TestBatchEquivalence(t *testing.T) {
 		g := randomGraph(rng, gs.n, gs.m)
 		for _, k := range []int{3, 5, 7} {
 			tpl := randomTree(rng, k)
-			for _, kind := range []table.Kind{table.Lazy, table.Naive, table.Hash, table.Succinct} {
+			for _, kind := range []table.Kind{table.Lazy, table.Naive, table.Hash} {
 				for _, kern := range []KernelMode{KernelDirect, KernelAggregate, KernelAuto} {
 					for _, mode := range []Mode{Inner, Outer, Hybrid} {
 						base := DefaultConfig()
@@ -241,6 +241,22 @@ func TestBatchAutoResolve(t *testing.T) {
 	}
 	if b := e.Batch(); b < 2 {
 		t.Fatalf("auto batch %d on a small graph, want >= 2 (budget is ample)", b)
+	}
+	// The planner sizes every layout at 8 bytes per cell: Path(5) at 5
+	// colors has 10-cell rows, so a lane costs 200·10·2·8 = 32,000
+	// bytes, and a 256,000-byte budget (halved for the planner) admits
+	// exactly 4 lanes on every layout.
+	for _, kind := range table.Kinds {
+		cb := cfg
+		cb.TableKind = kind
+		cb.MemBudgetBytes = 256_000
+		eb, err := New(g, tmpl.Path(5), cb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b := eb.Batch(); b != 4 {
+			t.Fatalf("%v: auto batch under a 256,000-byte budget = %d, want 4", kind, b)
+		}
 	}
 
 	cfg.KeepTables = true

@@ -216,6 +216,10 @@ type Engine struct {
 	// scratchPool recycles per-worker lane scratch buffers across nodes,
 	// workers, and traversals (concurrent traversals share it too).
 	scratchPool sync.Pool
+	// rngs recycles the *rand.Rand newBatchState colors with: a fresh
+	// source costs about 5 KB, and Seed restarts a recycled one on
+	// exactly the stream rand.NewSource(seed) yields.
+	rngs sync.Pool
 	// kernelDirect / kernelAggregate count vertex passes executed by each
 	// kernel since engine creation, for diagnostics and the fasciabench
 	// kernel ablation.
@@ -483,14 +487,12 @@ func (e *Engine) resolveBatch() int {
 	}
 	if b < 0 { // BatchAuto
 		// Estimated per-lane peak: the two widest concurrently-live
-		// tables at the selected layout's bytes-per-cell (succinct rows
-		// pack several cells per dense cell's worth of bytes, so the same
-		// budget admits wider batches). Grow B in powers of two while the
-		// batched footprint stays under budget; an explicit memory budget
-		// halves for the batch sizer so the CSR, scratch, and the second
-		// live table fit alongside.
-		cell := e.cfg.TableKind.BytesPerCellEstimate()
-		perLane := int64(float64(e.g.N()) * float64(e.maxNC) * 2 * cell)
+		// tables at a float64 per cell (the hash layout's occupancy
+		// cannot be assumed small a priori). Grow B in powers of two
+		// while the batched footprint stays under budget; an explicit
+		// memory budget halves for the batch sizer so the CSR, scratch,
+		// and the second live table fit alongside.
+		perLane := int64(e.g.N()) * int64(e.maxNC) * 2 * 8
 		if perLane <= 0 {
 			return 1
 		}

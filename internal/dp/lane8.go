@@ -41,33 +41,3 @@ func laneMulAdd(out, a, p []float64) {
 		out[i] += a[i] * y
 	}
 }
-
-// laneAdd is the neighbor-aggregation step of the ghost-row read
-// surface (rankTab.AccumulateRows): out[l] += p[l] over
-// min(len(out), len(p)) lanes, in the same 8-wide bounds-check-free
-// form as laneMulAdd.
-//
-//fascia:hotpath
-func laneAdd(out, p []float64) {
-	if len(p) > len(out) {
-		p = p[:len(out)]
-	}
-	for len(p) >= 8 && len(out) >= 8 {
-		o := (*[8]float64)(out)
-		y := (*[8]float64)(p)
-		o[0] += y[0]
-		o[1] += y[1]
-		o[2] += y[2]
-		o[3] += y[3]
-		o[4] += y[4]
-		o[5] += y[5]
-		o[6] += y[6]
-		o[7] += y[7]
-		out = out[8:]
-		p = p[8:]
-	}
-	out = out[:len(p)]
-	for i, y := range p {
-		out[i] += y
-	}
-}

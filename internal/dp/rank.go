@@ -157,13 +157,13 @@ func (t *rankTab) MaterializeRow(v int32, dst []float64) []float64 {
 }
 
 // AccumulateRows implements laneTab: the rows of every vertex in vs,
-// owned or ghost, are added into dst with the 8-wide lane add.
+// owned or ghost, are added into dst with the 8-wide table.AddTo.
 //
 //fascia:hotpath
 func (t *rankTab) AccumulateRows(vs []int32, dst []float64) {
 	for _, u := range vs {
 		if row := t.row(u); row != nil {
-			laneAdd(dst, row)
+			table.AddTo(dst, row)
 		}
 	}
 }

@@ -52,7 +52,7 @@ func (e *Engine) RunContext(ctx context.Context, iters int) (Result, error) {
 		return Result{}, fmt.Errorf("dp: iterations must be >= 1, got %d", iters)
 	}
 	m := e.startMeter()
-	stop, release := watchContext(ctx)
+	stop, release := WatchContext(ctx)
 	defer release()
 	res := Result{ModeUsed: e.mode()}
 	stats := e.newRunStats()
@@ -230,7 +230,7 @@ func (e *Engine) VertexCountsContext(ctx context.Context, iters int) ([]float64,
 	if e.cfg.Share {
 		return nil, fmt.Errorf("dp: per-vertex counts require Share=false (shared nodes lose root identity)")
 	}
-	stop, release := watchContext(ctx)
+	stop, release := WatchContext(ctx)
 	defer release()
 	n := e.g.N()
 	acc := make([]float64, n)
@@ -318,7 +318,7 @@ func (e *Engine) RunConvergedPriorContext(ctx context.Context, relStdErr float64
 		return Result{}, fmt.Errorf("dp: maxIters %d < minIters %d", maxIters, minIters)
 	}
 	m := e.startMeter()
-	stop, release := watchContext(ctx)
+	stop, release := WatchContext(ctx)
 	defer release()
 	workers := 1
 	if e.mode() == Inner {

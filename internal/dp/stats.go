@@ -30,8 +30,7 @@ type NodeStat struct {
 // and friends: where the time went (per node, per iteration), which
 // kernels the cost model chose, and how much table storage moved.
 type RunStats struct {
-	// Layout names the table layout used ("lazy", "naive", "hash",
-	// "succinct").
+	// Layout names the table layout used ("lazy", "naive" or "hash").
 	Layout string
 	// Iterations is the number of iterations that ran to completion
 	// (cancelled iterations are excluded).
@@ -172,11 +171,13 @@ func stopRequested(ctx context.Context, stop *atomic.Bool) bool {
 	return ctx != nil && ctx.Err() != nil
 }
 
-// watchContext arms a cancellation flag that DP inner loops can poll
-// with a single atomic load (cheap enough to check at every vertex).
-// The returned release func detaches the watcher; it must be called to
-// avoid leaking the AfterFunc registration.
-func watchContext(ctx context.Context) (stop *atomic.Bool, release func()) {
+// WatchContext arms a cancellation flag that DP inner loops can poll
+// with a single atomic load (cheap enough to check at every vertex);
+// the dist tier's rank-local sweeps poll the same flag. The returned
+// release func detaches the watcher; it must be called to avoid
+// leaking the AfterFunc registration. A context that can never be
+// cancelled yields a nil flag.
+func WatchContext(ctx context.Context) (stop *atomic.Bool, release func()) {
 	if ctx == nil || ctx.Done() == nil {
 		return nil, func() {}
 	}

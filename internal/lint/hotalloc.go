@@ -6,11 +6,11 @@ import (
 )
 
 // HotAlloc enforces the //fascia:hotpath annotation: the lane DP
-// kernels, the table bulk/lane primitives, and the succinct codec
-// inner loops run per vertex × per lane, so a single heap
-// allocation inside them multiplies into GC pressure that the arena
-// and scratch-pool design exists to avoid. An annotated function must
-// not contain:
+// kernels, the table bulk/lane primitives, the bag DP's inner loops and
+// the shard codec's row loops run per vertex × per lane, so a single
+// heap allocation inside them multiplies into GC pressure that the
+// arena and scratch-pool design exists to avoid. An annotated function
+// must not contain:
 //
 //   - slice, map, or pointer composite literals (value-typed array
 //     literals are register material and stay legal);

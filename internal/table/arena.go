@@ -32,7 +32,6 @@ type Arena struct {
 	i32 map[int][][]int32
 	i8  map[int][][]int8
 	u64 map[int][][]uint64
-	bts map[int][][]byte
 
 	hits   atomic.Int64
 	misses atomic.Int64
@@ -309,38 +308,5 @@ func (a *Arena) PutU64(s []uint64) {
 	}
 	a.mu.Lock()
 	a.u64 = putSlab(a.u64, s)
-	a.mu.Unlock()
-}
-
-// B returns a byte slab of length n (contents unspecified); the
-// succinct layout's compressed row blocks and encode scratch live here.
-func (a *Arena) B(n int) []byte {
-	if a == nil {
-		return make([]byte, n)
-	}
-	a.mu.Lock()
-	s, ok := getSlab(a, a.bts, n)
-	a.mu.Unlock()
-	if ok {
-		a.hits.Add(1)
-		return s
-	}
-	a.misses.Add(1)
-	if sp := a.spillFor(int64(n)); sp != nil {
-		if b := sp.alloc(int64(n)); b != nil {
-			return b
-		}
-	}
-	return make([]byte, n)
-}
-
-// PutB returns a byte slab to the arena.
-func (a *Arena) PutB(s []byte) {
-	if a == nil || s == nil {
-		return
-	}
-	spillOwned := a.adviseIfSpill(bPtr(s), int64(len(s)))
-	a.mu.Lock()
-	a.bts = putSlabMaybeUncapped(a.bts, s, spillOwned)
 	a.mu.Unlock()
 }

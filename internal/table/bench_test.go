@@ -4,7 +4,7 @@ import "testing"
 
 func benchTable(b *testing.B, kind Kind) {
 	const n, sets = 100_000, 64
-	tab := New(kind, n, sets)
+	tab := New(kind, n, sets, nil)
 	row := make([]float64, sets)
 	for i := range row {
 		if i%3 == 0 {

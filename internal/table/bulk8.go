@@ -1,20 +1,21 @@
 package table
 
-// 8-wide bounds-check-eliminated bulk loops shared by the layouts' bulk
-// primitives (AccumulateRows). The DP's inner dimension is a
-// lane-widened float64 row (width NumSets × B), and the scalar Go
-// backend retires about one bounds-checked add per cycle; the
-// slice-to-array-pointer form below keeps eight independent
-// adds in flight with no per-element bounds checks. This file must stay
-// free of IsInBounds checks — `make check-bce` builds it with
-// -gcflags=-d=ssa/check_bce and fails if any reappear.
+// The 8-wide bounds-check-eliminated add behind every neighbor-row sum:
+// the layouts' AccumulateRows and the shard rank pass's ghost-row read
+// (dp's rankTab). The DP's inner dimension is a lane-widened float64
+// row (width NumSets × B), and the scalar Go backend retires about one
+// bounds-checked add per cycle; the slice-to-array-pointer form below
+// keeps eight independent adds in flight with no per-element bounds
+// checks. This file must stay free of IsInBounds checks — `make
+// check-bce` builds it with -gcflags=-d=ssa/check_bce and fails if any
+// reappear.
 
-// addTo adds src into dst element-wise over min(len(dst), len(src)).
+// AddTo adds src into dst element-wise over min(len(dst), len(src)).
 // //fascia:hotpath holds it to zero heap allocation — hotalloc checks
 // the static rules, `make check-escape` checks the compiler's verdict.
 //
 //fascia:hotpath
-func addTo(dst, src []float64) {
+func AddTo(dst, src []float64) {
 	if len(src) > len(dst) {
 		src = src[:len(dst)]
 	}

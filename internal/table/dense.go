@@ -10,14 +10,10 @@ type Dense struct {
 	arena   *Arena
 }
 
-// NewDense allocates a dense table for n vertices.
-func NewDense(n, numSets int) *Dense {
-	return NewDenseArena(n, numSets, nil)
-}
-
-// NewDenseArena is NewDense drawing the backing slab from an arena (nil
-// falls back to plain allocation); Release returns the slab to it.
-func NewDenseArena(n, numSets int, a *Arena) *Dense {
+// newDense allocates a dense table for n vertices, drawing the backing
+// slab from an arena (nil falls back to plain allocation); Release
+// returns the slab to it.
+func newDense(n, numSets int, a *Arena) *Dense {
 	data := a.F64(n * numSets)
 	clear(data)
 	return &Dense{
@@ -55,22 +51,15 @@ func (d *Dense) StoreRow(v int32, row []float64) {
 	copy(d.Row(v), row)
 }
 
-// AccumulateRow implements RowAccumulator: dst[i] += row(v)[i].
-func (d *Dense) AccumulateRow(v int32, dst []float64) {
-	for i, x := range d.Row(v) {
-		dst[i] += x
-	}
-}
-
-// AccumulateRows implements BulkAccumulator via the 8-wide
-// bounds-check-eliminated addTo sweep (bulk8.go): lane-widened batched
+// AccumulateRows implements Table via the 8-wide
+// bounds-check-eliminated AddTo sweep (bulk8.go): lane-widened batched
 // rows keep eight independent adds in flight per iteration.
 func (d *Dense) AccumulateRows(vs []int32, dst []float64) {
 	ns := d.numSets
 	dst = dst[:ns]
 	for _, v := range vs {
 		base := int(v) * ns
-		addTo(dst, d.data[base:base+ns:base+ns])
+		AddTo(dst, d.data[base:base+ns:base+ns])
 	}
 }
 
@@ -78,15 +67,6 @@ func (d *Dense) AccumulateRows(vs []int32, dst []float64) {
 func (d *Dense) SumRow(v int32) float64 {
 	var s float64
 	for _, x := range d.Row(v) {
-		s += x
-	}
-	return s
-}
-
-// Total implements Table.
-func (d *Dense) Total() float64 {
-	var s float64
-	for _, x := range d.data {
 		s += x
 	}
 	return s

@@ -20,17 +20,12 @@ type HashTable struct {
 
 const emptyKey = int64(-1)
 
-// NewHash creates a hash-layout table for n vertices. The initial
+// newHash creates a hash-layout table for n vertices. The initial
 // capacity is small; the table grows as cells are inserted, so memory
-// tracks the realized selectivity rather than n × NumSets.
-func NewHash(n, numSets int) *HashTable {
-	return NewHashArena(n, numSets, nil)
-}
-
-// NewHashArena is NewHash drawing the key/value arrays and presence
-// bitset from an arena (nil falls back to plain allocation); Release and
-// growth rehashes return slabs to it.
-func NewHashArena(n, numSets int, a *Arena) *HashTable {
+// tracks the realized selectivity rather than n × NumSets. The key/value
+// arrays and presence bitset come from an arena (nil falls back to plain
+// allocation); Release and growth rehashes return slabs to it.
+func newHash(n, numSets int, a *Arena) *HashTable {
 	present := a.U64((n + 63) / 64)
 	clear(present)
 	h := &HashTable{
@@ -86,35 +81,29 @@ func (h *HashTable) Get(v int32, ci int32) float64 {
 // Row implements Table; the hash layout has no materialized rows.
 func (h *HashTable) Row(v int32) []float64 { return nil }
 
-// AccumulateRow implements RowAccumulator. The hash layout cannot expose
-// a contiguous row, but it can probe all of the row's cells in a single
+// AccumulateRows implements Table. The hash layout cannot expose a
+// contiguous row, but it probes all of a present row's cells in one
 // pass with the key base hoisted — one multiply per row instead of one
-// per cell, and no interface dispatch — which is what keeps the DP's
-// aggregated kernel from degrading to per-cell Get calls.
-func (h *HashTable) AccumulateRow(v int32, dst []float64) {
-	if !h.Has(v) {
-		return
-	}
-	base := int64(v) * int64(h.numSets)
-	for ci := 0; ci < h.numSets; ci++ {
-		key := base + int64(ci)
-		for i := h.mix(key); ; i = (i + 1) & h.mask {
-			k := h.keys[i]
-			if k == key {
-				dst[ci] += h.vals[i]
-				break
-			}
-			if k == emptyKey {
-				break
-			}
-		}
-	}
-}
-
-// AccumulateRows implements BulkAccumulator.
+// per cell, and no interface dispatch per cell.
 func (h *HashTable) AccumulateRows(vs []int32, dst []float64) {
 	for _, v := range vs {
-		h.AccumulateRow(v, dst)
+		if !h.Has(v) {
+			continue
+		}
+		base := int64(v) * int64(h.numSets)
+		for ci := 0; ci < h.numSets; ci++ {
+			key := base + int64(ci)
+			for i := h.mix(key); ; i = (i + 1) & h.mask {
+				k := h.keys[i]
+				if k == key {
+					dst[ci] += h.vals[i]
+					break
+				}
+				if k == emptyKey {
+					break
+				}
+			}
+		}
 	}
 }
 
@@ -190,17 +179,6 @@ func (h *HashTable) SumRow(v int32) float64 {
 	var s float64
 	for ci := 0; ci < h.numSets; ci++ {
 		s += h.Get(v, int32(ci))
-	}
-	return s
-}
-
-// Total implements Table.
-func (h *HashTable) Total() float64 {
-	var s float64
-	for i, k := range h.keys {
-		if k != emptyKey {
-			s += h.vals[i]
-		}
 	}
 	return s
 }

@@ -25,7 +25,7 @@ type Multi struct {
 // slabs from the arena (nil = plain allocation).
 func NewMulti(kind Kind, n, numSets, lanes int, a *Arena) *Multi {
 	return &Multi{
-		tab:     NewInArena(kind, n, numSets*lanes, a),
+		tab:     New(kind, n, numSets*lanes, a),
 		numSets: numSets,
 		lanes:   lanes,
 		n:       n,
@@ -65,22 +65,14 @@ func (m *Multi) StoreRow(v int32, row []float64) {
 }
 
 // MaterializeRow returns v's flat row directly when the layout has one,
-// otherwise decodes it in one pass (succinct layout, via RowDecoder) or
-// copies it cell-by-cell into dst (hash layout; absent cells read
-// zero). dst must have capacity Width.
+// otherwise copies it cell by cell into dst (hash layout; absent cells
+// read zero). dst must have capacity Width.
 func (m *Multi) MaterializeRow(v int32, dst []float64) []float64 {
 	if row := m.tab.Row(v); row != nil {
 		return row
 	}
-	w := m.Width()
-	dst = dst[:w]
-	if rd, ok := m.tab.(RowDecoder); ok {
-		if !rd.DecodeRowInto(v, dst) {
-			clear(dst)
-		}
-		return dst
-	}
-	for ci := 0; ci < w; ci++ {
+	dst = dst[:m.Width()]
+	for ci := range dst {
 		dst[ci] = m.tab.Get(v, int32(ci))
 	}
 	return dst
@@ -91,7 +83,7 @@ func (m *Multi) MaterializeRow(v int32, dst []float64) []float64 {
 // interface dispatch and one sequential sweep per neighbor, amortized
 // over all lanes.
 func (m *Multi) AccumulateRows(vs []int32, dst []float64) {
-	AccumulateRowsInto(m.tab, vs, dst)
+	m.tab.AccumulateRows(vs, dst)
 }
 
 // GatherColors folds, for each vertex u in vs and each lane j, the cell
@@ -100,7 +92,6 @@ func (m *Multi) AccumulateRows(vs []int32, dst []float64) {
 // lane-widened single-vertex-child per-color gather.
 func (m *Multi) GatherColors(vs []int32, colors []int8, dst []float64) {
 	L := m.lanes
-	sc, isSuccinct := m.tab.(*SuccinctTable)
 	for _, u := range vs {
 		if row := m.tab.Row(u); row != nil {
 			base := int(u) * L
@@ -108,14 +99,6 @@ func (m *Multi) GatherColors(vs []int32, colors []int8, dst []float64) {
 				o := int(colors[base+j])*L + j
 				dst[o] += row[o]
 			}
-		} else if isSuccinct { // succinct: one decode visits every lane
-			base := int(u) * L
-			sc.ForEachInRow(u, func(ci int32, val float64) {
-				j := int(ci) % L
-				if int(colors[base+j]) == int(ci)/L {
-					dst[ci] += val
-				}
-			})
 		} else if m.tab.Has(u) { // hash layout: probe per lane
 			base := int(u) * L
 			for j := 0; j < L; j++ {
@@ -134,13 +117,12 @@ func (m *Multi) SumRow(v int32) float64 { return m.tab.SumRow(v) }
 // Lanes) — one colorful-mapping total per concurrent coloring.
 func (m *Multi) Totals(dst []float64) {
 	L := m.lanes
-	// Hash and succinct layouts walk their stored cells directly; the
-	// flat key is v·Width + ci·L + lane, so key mod L is the lane.
-	// Counts are integer-valued float64s, so visiting only nonzero
-	// cells (in either walk order) sums bit-identically to the dense
-	// row sweep below.
-	if fe, ok := m.tab.(interface{ ForEach(func(int64, float64)) }); ok {
-		fe.ForEach(func(key int64, val float64) {
+	// The hash layout walks its stored cells directly; the flat key is
+	// v·Width + ci·L + lane, so key mod L is the lane. Counts are
+	// integer-valued float64s, so visiting only nonzero cells (in any
+	// walk order) sums bit-identically to the dense row sweep below.
+	if h, ok := m.tab.(*HashTable); ok {
+		h.ForEach(func(key int64, val float64) {
 			dst[int(key)%L] += val
 		})
 		return

@@ -29,15 +29,10 @@ type Sparse struct {
 // sparseBlockRows is the number of rows per arena block.
 const sparseBlockRows = 256
 
-// NewSparse creates a sparse table for n vertices with no rows allocated.
-func NewSparse(n, numSets int) *Sparse {
-	return NewSparseArena(n, numSets, nil)
-}
-
-// NewSparseArena is NewSparse drawing the index vector and row blocks
-// from an arena (nil falls back to plain allocation); Release returns
-// them to it.
-func NewSparseArena(n, numSets int, a *Arena) *Sparse {
+// newSparse creates a sparse table for n vertices with no rows
+// allocated, drawing the index vector and row blocks from an arena (nil
+// falls back to plain allocation); Release returns them to it.
+func newSparse(n, numSets int, a *Arena) *Sparse {
 	idx := a.I32(n)
 	for i := range idx {
 		idx[i] = -1
@@ -142,16 +137,8 @@ func (s *Sparse) StoreRow(v int32, row []float64) {
 	clear(dst[n:]) // defensive: short rows must not expose stale cells
 }
 
-// AccumulateRow implements RowAccumulator: dst[i] += row(v)[i], a no-op
-// for absent rows.
-func (s *Sparse) AccumulateRow(v int32, dst []float64) {
-	for i, x := range s.Row(v) {
-		dst[i] += x
-	}
-}
-
-// AccumulateRows implements BulkAccumulator; absent rows contribute
-// nothing. The inner sweep is the 8-wide bounds-check-eliminated addTo
+// AccumulateRows implements Table; absent rows contribute nothing. The
+// inner sweep is the 8-wide bounds-check-eliminated AddTo
 // (bulk8.go): scalar Go emits roughly one checked add per cycle, and
 // with lane-widened batched rows (width numSets x B) the unroll keeps
 // eight independent adds in flight — this function is ~50% of a batched
@@ -163,7 +150,7 @@ func (s *Sparse) AccumulateRows(vs []int32, dst []float64) {
 		if slot < 0 {
 			continue
 		}
-		addTo(dst, s.rowAt(slot))
+		AddTo(dst, s.rowAt(slot))
 	}
 }
 
@@ -172,18 +159,6 @@ func (s *Sparse) SumRow(v int32) float64 {
 	var sum float64
 	for _, x := range s.Row(v) {
 		sum += x
-	}
-	return sum
-}
-
-// Total implements Table.
-func (s *Sparse) Total() float64 {
-	var sum float64
-	n := s.live.Load()
-	for slot := int64(0); slot < n; slot++ {
-		for _, x := range s.rowAt(int32(slot)) {
-			sum += x
-		}
 	}
 	return sum
 }

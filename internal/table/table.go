@@ -28,10 +28,6 @@ const (
 	Lazy
 	// Hash stores only nonzero cells in an open-addressed hash table.
 	Hash
-	// Succinct stores compressed rows: zero-run skipping plus varint
-	// packing of integer counts (raw IEEE-754 fallback keeps the codec
-	// lossless), the Motivo-style layout for memory-bound graphs.
-	Succinct
 )
 
 func (k Kind) String() string {
@@ -42,8 +38,6 @@ func (k Kind) String() string {
 		return "lazy"
 	case Hash:
 		return "hash"
-	case Succinct:
-		return "succinct"
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
@@ -71,10 +65,13 @@ type Table interface {
 	// StoreRow copies row (length NumSets) into v's storage. Layouts that
 	// track presence may skip an all-zero row for an absent vertex.
 	StoreRow(v int32, row []float64)
+	// AccumulateRows adds the row of every vertex in vs into dst (length
+	// at least NumSets); absent rows add nothing. It is the aggregated
+	// (SpMM-style) kernel's neighbor sum: one interface dispatch for a
+	// whole adjacency list, then a tight concrete loop per layout.
+	AccumulateRows(vs []int32, dst []float64)
 	// SumRow returns the sum of v's row (zero when absent).
 	SumRow(v int32) float64
-	// Total returns the sum of all cells.
-	Total() float64
 	// Bytes returns the current heap footprint of the table's storage.
 	Bytes() int64
 	// Rows returns the number of materialized vertex rows: every vertex
@@ -87,100 +84,23 @@ type Table interface {
 }
 
 // New creates a table of the given layout for n vertices and numSets
-// color-set slots per vertex.
-func New(kind Kind, n int, numSets int) Table {
-	return NewInArena(kind, n, numSets, nil)
-}
-
-// NewInArena is New with backing slabs drawn from (and returned to) an
-// arena; a nil arena degrades to plain allocation.
-func NewInArena(kind Kind, n int, numSets int, a *Arena) Table {
+// color-set slots per vertex, with backing slabs drawn from (and
+// returned to) an arena; a nil arena degrades to plain allocation.
+func New(kind Kind, n int, numSets int, a *Arena) Table {
 	switch kind {
 	case Naive:
-		return NewDenseArena(n, numSets, a)
+		return newDense(n, numSets, a)
 	case Lazy:
-		return NewSparseArena(n, numSets, a)
+		return newSparse(n, numSets, a)
 	case Hash:
-		return NewHashArena(n, numSets, a)
-	case Succinct:
-		return NewSuccinctArena(n, numSets, a)
+		return newHash(n, numSets, a)
 	default:
 		panic(fmt.Sprintf("table: unknown kind %d", int(kind)))
 	}
 }
 
 // Kinds lists all layouts, for cross-implementation tests and ablations.
-var Kinds = []Kind{Naive, Lazy, Hash, Succinct}
-
-// BytesPerCellEstimate returns the layout's expected storage cost per
-// (vertex, color-set) cell, the figure the dp batch planner sizes B
-// with. Dense-backed layouts (and hash, whose occupancy
-// cannot be assumed small a priori) cost a full float64 per cell; the
-// succinct layout's zero-run skipping and varint packing average a few
-// bytes per cell on the integer-valued, mostly-zero DP tables, so the
-// same memory budget admits wider lane batches.
-func (k Kind) BytesPerCellEstimate() float64 {
-	if k == Succinct {
-		return succinctCellEstimateBytes
-	}
-	return float64Size
-}
-
-// RowDecoder is an optional fast path for layouts without flat rows:
-// DecodeRowInto zero-fills dst[:NumSets] and decodes vertex v's row
-// into it in one sequential pass, reporting presence. Callers fall
-// back to per-cell Get when a layout (hash) does not implement it.
-type RowDecoder interface {
-	DecodeRowInto(v int32, dst []float64) bool
-}
-
-// RowAccumulator is an optional fast path for neighbor aggregation:
-// AccumulateRow adds vertex v's row into dst (len >= NumSets), doing
-// nothing when the row is absent. All built-in layouts implement it; the
-// DP's aggregated (SpMM-style) kernel uses it to sum neighbor passive
-// rows into a dense scratch buffer without a per-cell interface call.
-type RowAccumulator interface {
-	AccumulateRow(v int32, dst []float64)
-}
-
-// AccumulateRowInto adds v's row into dst using the RowAccumulator fast
-// path when available, falling back to Row and finally per-cell Get.
-func AccumulateRowInto(tab Table, v int32, dst []float64) {
-	if acc, ok := tab.(RowAccumulator); ok {
-		acc.AccumulateRow(v, dst)
-		return
-	}
-	if row := tab.Row(v); row != nil {
-		for i, x := range row {
-			dst[i] += x
-		}
-		return
-	}
-	for ci := 0; ci < tab.NumSets(); ci++ {
-		dst[ci] += tab.Get(v, int32(ci))
-	}
-}
-
-// BulkAccumulator is the batched form of RowAccumulator: it adds the rows
-// of every vertex in vs into dst with one interface dispatch for the
-// whole adjacency list. The aggregated DP kernel is bound by per-neighbor
-// call overhead on wide-degree vertices, so built-in layouts implement
-// this with a tight concrete loop.
-type BulkAccumulator interface {
-	AccumulateRows(vs []int32, dst []float64)
-}
-
-// AccumulateRowsInto adds the rows of all vs into dst via the
-// BulkAccumulator fast path when available.
-func AccumulateRowsInto(tab Table, vs []int32, dst []float64) {
-	if acc, ok := tab.(BulkAccumulator); ok {
-		acc.AccumulateRows(vs, dst)
-		return
-	}
-	for _, v := range vs {
-		AccumulateRowInto(tab, v, dst)
-	}
-}
+var Kinds = []Kind{Naive, Lazy, Hash}
 
 const (
 	float64Size    = 8

@@ -7,11 +7,11 @@ import (
 )
 
 func TestKindString(t *testing.T) {
-	if Naive.String() != "naive" || Lazy.String() != "lazy" || Hash.String() != "hash" || Succinct.String() != "succinct" {
+	if Naive.String() != "naive" || Lazy.String() != "lazy" || Hash.String() != "hash" {
 		t.Fatal("kind strings wrong")
 	}
-	if Kind(7).String() == "" {
-		t.Fatal("unknown kind string empty")
+	if got := Kind(3).String(); got != "Kind(3)" {
+		t.Fatalf("unknown kind string = %q, want \"Kind(3)\"", got)
 	}
 }
 
@@ -21,12 +21,12 @@ func TestNewPanicsOnUnknownKind(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	New(Kind(9), 10, 4)
+	New(Kind(3), 10, 4, nil)
 }
 
 func TestBasicSetGet(t *testing.T) {
 	for _, kind := range Kinds {
-		tab := New(kind, 100, 10)
+		tab := New(kind, 100, 10, nil)
 		if tab.NumSets() != 10 {
 			t.Fatalf("%v: NumSets = %d", kind, tab.NumSets())
 		}
@@ -45,8 +45,8 @@ func TestBasicSetGet(t *testing.T) {
 		if got := tab.SumRow(5); got != 3.5 {
 			t.Fatalf("%v: SumRow = %v", kind, got)
 		}
-		if got := tab.Total(); got != 7.5 {
-			t.Fatalf("%v: Total = %v", kind, got)
+		if got := tab.SumRow(99); got != 4.0 {
+			t.Fatalf("%v: SumRow = %v", kind, got)
 		}
 	}
 }
@@ -54,14 +54,14 @@ func TestBasicSetGet(t *testing.T) {
 func TestHasSelectivity(t *testing.T) {
 	// Lazy and Hash must report absent vertices; Naive reports all
 	// present (that is its point).
-	lazy := New(Lazy, 50, 4)
-	hash := New(Hash, 50, 4)
+	lazy := New(Lazy, 50, 4, nil)
+	hash := New(Hash, 50, 4, nil)
 	lazy.Set(10, 2, 1)
 	hash.Set(10, 2, 1)
 	if lazy.Has(11) || hash.Has(11) {
 		t.Fatal("absent vertex reported present")
 	}
-	naive := New(Naive, 50, 4)
+	naive := New(Naive, 50, 4, nil)
 	if !naive.Has(11) {
 		t.Fatal("dense table should always have rows")
 	}
@@ -70,7 +70,7 @@ func TestHasSelectivity(t *testing.T) {
 func TestStoreRowAndRow(t *testing.T) {
 	row := []float64{0, 1.5, 0, 2.5}
 	for _, kind := range Kinds {
-		tab := New(kind, 20, 4)
+		tab := New(kind, 20, 4, nil)
 		tab.StoreRow(3, row)
 		for ci := int32(0); ci < 4; ci++ {
 			if tab.Get(3, ci) != row[ci] {
@@ -78,7 +78,7 @@ func TestStoreRowAndRow(t *testing.T) {
 			}
 		}
 		r := tab.Row(3)
-		if kind == Hash || kind == Succinct {
+		if kind == Hash {
 			if r != nil {
 				t.Fatalf("%v Row should be nil", kind)
 			}
@@ -92,17 +92,13 @@ func TestStoreRowAndRow(t *testing.T) {
 
 func TestAccumulateRow(t *testing.T) {
 	for _, kind := range Kinds {
-		tab := New(kind, 40, 6)
+		tab := New(kind, 40, 6, nil)
 		tab.Set(3, 1, 2)
 		tab.Set(3, 5, 7)
 		tab.Set(9, 0, 1.5)
 
-		// Every built-in layout must implement the fast path.
-		if _, ok := tab.(RowAccumulator); !ok {
-			t.Fatalf("%v: does not implement RowAccumulator", kind)
-		}
 		dst := []float64{1, 0, 0, 0, 0, 1}
-		AccumulateRowInto(tab, 3, dst)
+		tab.AccumulateRows([]int32{3}, dst)
 		want := []float64{1, 2, 0, 0, 0, 8}
 		for i := range want {
 			if dst[i] != want[i] {
@@ -110,14 +106,14 @@ func TestAccumulateRow(t *testing.T) {
 			}
 		}
 		// Accumulating twice adds again.
-		AccumulateRowInto(tab, 9, dst)
+		tab.AccumulateRows([]int32{9}, dst)
 		if dst[0] != 2.5 {
 			t.Fatalf("%v: second accumulate got %v", kind, dst[0])
 		}
 		// Absent vertex: no change (Naive has all rows, so skip it there).
 		if kind != Naive {
 			before := append([]float64(nil), dst...)
-			AccumulateRowInto(tab, 20, dst)
+			tab.AccumulateRows([]int32{20}, dst)
 			for i := range dst {
 				if dst[i] != before[i] {
 					t.Fatalf("%v: absent vertex modified dst", kind)
@@ -130,10 +126,7 @@ func TestAccumulateRow(t *testing.T) {
 func TestBulkAccumulateAndGather(t *testing.T) {
 	colors := []int8{2, 0, 1, 3, 2, 1, 0, 3, 1, 2}
 	for _, kind := range Kinds {
-		tab := New(kind, 10, 4)
-		if _, ok := tab.(BulkAccumulator); !ok {
-			t.Fatalf("%v: does not implement BulkAccumulator", kind)
-		}
+		tab := New(kind, 10, 4, nil)
 		tab.StoreRow(1, []float64{1, 2, 0, 4})
 		tab.StoreRow(3, []float64{0, 0, 5, 1})
 		tab.Set(7, 3, 9)
@@ -142,7 +135,7 @@ func TestBulkAccumulateAndGather(t *testing.T) {
 		// equal the sum of per-row accumulations.
 		vs := []int32{1, 3, 5, 1}
 		dst := []float64{0, 0, 0, 100}
-		AccumulateRowsInto(tab, vs, dst)
+		tab.AccumulateRows(vs, dst)
 		want := []float64{2, 4, 5, 109}
 		for i := range want {
 			if dst[i] != want[i] {
@@ -170,10 +163,10 @@ func TestBulkAccumulateAndGather(t *testing.T) {
 }
 
 func TestHashMergeFrom(t *testing.T) {
-	main := NewHash(100, 5)
+	main := newHash(100, 5, nil)
 	main.Set(1, 2, 3)
-	a := NewHash(100, 5)
-	b := NewHash(100, 5)
+	a := newHash(100, 5, nil)
+	b := newHash(100, 5, nil)
 	for v := int32(10); v < 40; v++ {
 		a.Set(v, v%5, float64(v))
 	}
@@ -200,7 +193,7 @@ func TestHashMergeFrom(t *testing.T) {
 		t.Fatal("unmerged vertex present")
 	}
 	// Overlapping keys overwrite.
-	c := NewHash(100, 5)
+	c := newHash(100, 5, nil)
 	c.Set(1, 2, 9)
 	main.MergeFrom(c)
 	if main.Get(1, 2) != 9 {
@@ -212,11 +205,11 @@ func TestHashMergeFrom(t *testing.T) {
 			t.Fatal("expected panic on NumSets mismatch")
 		}
 	}()
-	main.MergeFrom(NewHash(100, 7))
+	main.MergeFrom(newHash(100, 7, nil))
 }
 
 func TestSparseSkipsAllZeroRows(t *testing.T) {
-	tab := NewSparse(10, 4)
+	tab := newSparse(10, 4, nil)
 	tab.StoreRow(2, []float64{0, 0, 0, 0})
 	if tab.Has(2) {
 		t.Fatal("all-zero store should not materialize a row")
@@ -234,9 +227,9 @@ func TestSparseSkipsAllZeroRows(t *testing.T) {
 
 func TestBytesOrdering(t *testing.T) {
 	n, sets := 10000, 64
-	naive := New(Naive, n, sets)
-	lazy := New(Lazy, n, sets)
-	hash := New(Hash, n, sets)
+	naive := New(Naive, n, sets, nil)
+	lazy := New(Lazy, n, sets, nil)
+	hash := New(Hash, n, sets, nil)
 	// Touch only a handful of vertices.
 	for v := int32(0); v < 20; v++ {
 		naive.Set(v, 1, 1)
@@ -250,7 +243,7 @@ func TestBytesOrdering(t *testing.T) {
 }
 
 func TestHashGrowth(t *testing.T) {
-	h := NewHash(100000, 1000)
+	h := newHash(100000, 1000, nil)
 	for v := int32(0); v < 5000; v++ {
 		for ci := int32(0); ci < 3; ci++ {
 			h.Set(v, ci, float64(v+1))
@@ -270,7 +263,7 @@ func TestHashGrowth(t *testing.T) {
 }
 
 func TestHashZeroSet(t *testing.T) {
-	h := NewHash(10, 4)
+	h := newHash(10, 4, nil)
 	h.Set(1, 1, 0) // no-op: zero into absent cell
 	if h.Load() != 0 {
 		t.Fatal("zero store created a cell")
@@ -284,7 +277,7 @@ func TestHashZeroSet(t *testing.T) {
 
 func TestRelease(t *testing.T) {
 	for _, kind := range Kinds {
-		tab := New(kind, 10, 4)
+		tab := New(kind, 10, 4, nil)
 		tab.Set(1, 1, 1)
 		tab.Release()
 		// After release the footprint must be (near) zero.
@@ -304,7 +297,7 @@ func TestCrossImplementationEquivalence(t *testing.T) {
 		sets := 1 + rng.Intn(30)
 		tabs := make([]Table, len(Kinds))
 		for i, k := range Kinds {
-			tabs[i] = New(k, n, sets)
+			tabs[i] = New(k, n, sets, nil)
 		}
 		for op := 0; op < 300; op++ {
 			v := int32(rng.Intn(n))
@@ -334,11 +327,20 @@ func TestCrossImplementationEquivalence(t *testing.T) {
 				}
 			}
 		}
-		// Totals and row sums must agree.
-		want := tabs[0].Total()
+		// Bulk neighbor sums and row sums must agree.
+		vs := make([]int32, rng.Intn(2*n))
+		for i := range vs {
+			vs[i] = int32(rng.Intn(n))
+		}
+		want := make([]float64, sets)
+		tabs[0].AccumulateRows(vs, want)
 		for _, tab := range tabs[1:] {
-			if diff := tab.Total() - want; diff > 1e-9 || diff < -1e-9 {
-				return false
+			got := make([]float64, sets)
+			tab.AccumulateRows(vs, got)
+			for i := range got {
+				if got[i] != want[i] {
+					return false
+				}
 			}
 		}
 		for v := int32(0); v < int32(n); v++ {
@@ -358,7 +360,7 @@ func TestCrossImplementationEquivalence(t *testing.T) {
 
 func TestHashCollisionHeavyKeys(t *testing.T) {
 	// Sequential keys with numSets=1 stress the probe chain.
-	h := NewHash(1<<16, 1)
+	h := newHash(1<<16, 1, nil)
 	for v := int32(0); v < 1<<14; v++ {
 		h.Set(v, 0, float64(v)+1)
 	}

@@ -21,11 +21,6 @@ const (
 	// TableHash stores only nonzero cells in a hash table keyed by
 	// vid·Nc + colorIndex (best for high-selectivity templates).
 	TableHash
-	// TableSuccinct stores compressed rows (zero-run skipping plus varint
-	// packing of integer counts, with a lossless raw-IEEE fallback), the
-	// Motivo-style layout for memory-bound graphs. Estimates are
-	// bit-identical to the other layouts.
-	TableSuccinct
 )
 
 func (l TableLayout) String() string {
@@ -36,8 +31,6 @@ func (l TableLayout) String() string {
 		return "naive"
 	case TableHash:
 		return "hash"
-	case TableSuccinct:
-		return "succinct"
 	default:
 		return fmt.Sprintf("TableLayout(%d)", int(l))
 	}
@@ -51,8 +44,6 @@ func (l TableLayout) kind() (table.Kind, error) {
 		return table.Naive, nil
 	case TableHash:
 		return table.Hash, nil
-	case TableSuccinct:
-		return table.Succinct, nil
 	default:
 		return 0, fmt.Errorf("fascia: unknown table layout %d", int(l))
 	}
