@@ -6,8 +6,8 @@
 # oracle-differential harness under -race, the metrics-endpoint,
 # fasciad serve, and multi-process shard smoke tests, a fuzz smoke pass
 # over every fuzz target, a coverage floor on internal/serve, and a
-# one-shot smoke run of the kernel benchmarks (compiles and exercises
-# the direct/aggregate/auto matrix without timing anything meaningful).
+# one-shot smoke run of BenchmarkKernel (compiles and exercises every
+# kernel branch without timing anything meaningful).
 
 GO ?= go
 FUZZTIME ?= 30s
@@ -167,7 +167,7 @@ metrics-smoke:
 	$(GO) test -run TestMetricsSmoke ./cmd/fascia
 
 bench-smoke:
-	$(GO) test -run='^$$' -bench=BenchmarkKernel -benchtime=1x ./internal/dp
+	$(GO) test -run='^$$' -bench='^BenchmarkKernel$$' -benchtime=1x ./internal/dp
 
 # Lane-width smoke: one lane vs four lanes per traversal on a small
 # graph with an equivalence assertion, so the CI run doubles as an
@@ -201,9 +201,10 @@ bench-mem-full:
 bench-mem-record:
 	$(GO) run ./cmd/fasciabench bench-mem-record
 
-# Full kernel comparison (the numbers quoted in DESIGN.md "DP kernels").
+# The kernel benchmark at full length: one iteration per kernel branch
+# on an average-degree-40 G(n,m), three samples of ten.
 bench-kernel:
-	$(GO) test -run='^$$' -bench=BenchmarkKernelDirectVsAggregate -benchtime=10x -count=3 ./internal/dp
+	$(GO) test -run='^$$' -bench='^BenchmarkKernel$$' -benchtime=10x -count=3 ./internal/dp
 
 # The acceptance benchmark behind BENCH_batch.json (slow: 100k-vertex
 # graphs, k=7, the full lane-width sweep, three samples).

@@ -47,7 +47,6 @@ func run(args []string) error {
 		threads    = fs.Int("threads", 0, "worker goroutines (0 = GOMAXPROCS)")
 		mode       = fs.String("parallel", "auto", "parallelization: auto, inner, outer, hybrid")
 		layout     = fs.String("table", "lazy", "table layout: lazy, naive, hash")
-		kernel     = fs.String("kernel", "auto", "DP combination kernel: auto, direct, aggregate")
 		batch      = fs.String("batch", "1", "iteration batch width: lanes per DP traversal (an integer, or \"auto\")")
 		mem        = fs.Int64("mem", 0, "peak table-memory budget in bytes: large slabs spill to file-backed mappings (0 = FASCIA_MEM_BYTES env or unlimited, negative = never spill)")
 		adaptive   = fs.Float64("adaptive", 0, "variance-targeted stopping: run until the relative stderr drops below this, -iterations capping the run (0 = fixed iterations)")
@@ -143,16 +142,6 @@ func run(args []string) error {
 		opt = opt.WithTable(fascia.TableHash)
 	default:
 		return fmt.Errorf("unknown -table %q", *layout)
-	}
-	switch *kernel {
-	case "auto":
-		opt = opt.WithKernel(fascia.KernelAuto)
-	case "direct":
-		opt = opt.WithKernel(fascia.KernelDirect)
-	case "aggregate":
-		opt = opt.WithKernel(fascia.KernelAggregate)
-	default:
-		return fmt.Errorf("unknown -kernel %q", *kernel)
 	}
 	switch *partition {
 	case "one":

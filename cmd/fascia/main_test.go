@@ -93,6 +93,7 @@ func TestRunEndToEnd(t *testing.T) {
 		{"-network", "circuit", "-parallel", "bogus"},
 		{"-network", "circuit", "-table", "bogus"},
 		{"-network", "circuit", "-table", "succinct"},
+		{"-network", "circuit", "-kernel", "direct"},
 		{"-network", "circuit", "-partition", "bogus"},
 		{"-template", "U3-1"}, // no graph
 	} {

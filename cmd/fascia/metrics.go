@@ -1,7 +1,7 @@
 // Metrics endpoint for cmd/fascia: -metrics-addr starts a private HTTP
 // mux exposing expvar counters under /debug/vars and the standard pprof
 // profiles under /debug/pprof/, so long counting runs can be observed
-// (estimate so far, iterations done, kernel decisions, table footprint)
+// (estimate so far, iterations done, kernel passes, table footprint)
 // and profiled without instrumenting the library.
 package main
 
@@ -26,7 +26,6 @@ var (
 	mIterations      = expvar.NewInt("fascia.iterations")
 	mLastEstimate    = expvar.NewFloat("fascia.last_estimate")
 	mLastIterMillis  = expvar.NewFloat("fascia.last_iteration_elapsed_ms")
-	mKernelDirect    = expvar.NewInt("fascia.kernel_direct")
 	mKernelAggregate = expvar.NewInt("fascia.kernel_aggregate")
 	mPeakTableBytes  = expvar.NewInt("fascia.peak_table_bytes")
 	mRowsAllocated   = expvar.NewInt("fascia.rows_allocated")
@@ -51,7 +50,6 @@ func onIteration(i int, estimate float64, elapsed time.Duration) {
 func publishStats(res fascia.Result) {
 	mRuns.Add(1)
 	mLastEstimate.Set(res.Count)
-	mKernelDirect.Add(res.Stats.KernelDirect)
 	mKernelAggregate.Add(res.Stats.KernelAggregate)
 	if res.PeakTableBytes > mPeakTableBytes.Value() {
 		mPeakTableBytes.Set(res.PeakTableBytes)

@@ -44,7 +44,7 @@ func TestMetricsSmoke(t *testing.T) {
 	}
 	for _, key := range []string{
 		"fascia.runs", "fascia.iterations", "fascia.last_estimate",
-		"fascia.kernel_direct", "fascia.kernel_aggregate",
+		"fascia.kernel_aggregate",
 		"fascia.peak_table_bytes", "fascia.rows_allocated",
 		"fascia.rows_released", "fascia.cancelled_runs",
 	} {

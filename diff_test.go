@@ -4,7 +4,7 @@ package fascia
 // Count, CountLabeled, CountConverged, CountDistributed — is checked on
 // randomized small graphs (n <= 30, k <= 5) against the exhaustive
 // internal/exact oracle within statistical tolerance, and every
-// layout × kernel × batch × parallel-mode combination is checked for
+// layout × batch × parallel-mode combination is checked for
 // exact (bit-identical) agreement with the reference configuration
 // under a fixed seed. CountDirected gets the same matrix against golden
 // estimate bits, plus exact colorful totals against the directed
@@ -68,7 +68,7 @@ func diffWorkloads() []diffWorkload {
 	return out
 }
 
-// diffCombos enumerates every layout × kernel × batch × parallel-mode
+// diffCombos enumerates every layout × batch × parallel-mode
 // combination of the public options surface.
 func diffCombos() []struct {
 	name string
@@ -79,20 +79,18 @@ func diffCombos() []struct {
 		opt  Options
 	}
 	for _, layout := range []TableLayout{TableLazy, TableNaive, TableHash} {
-		for _, kernel := range []KernelChoice{KernelAuto, KernelDirect, KernelAggregate} {
-			for _, batch := range []int{1, 4} {
-				for _, mode := range []ParallelMode{ParallelInner, ParallelOuter, ParallelHybrid} {
-					opt := DefaultOptions().
-						WithTable(layout).WithKernel(kernel).WithBatch(batch).WithParallel(mode).
-						WithSeed(diffSeed).WithIterations(comboIters)
-					out = append(out, struct {
-						name string
-						opt  Options
-					}{
-						fmt.Sprintf("layout=%s kernel=%s batch=%d parallel=%s", layout, kernel, batch, mode),
-						opt,
-					})
-				}
+		for _, batch := range []int{1, 4} {
+			for _, mode := range []ParallelMode{ParallelInner, ParallelOuter, ParallelHybrid} {
+				opt := DefaultOptions().
+					WithTable(layout).WithBatch(batch).WithParallel(mode).
+					WithSeed(diffSeed).WithIterations(comboIters)
+				out = append(out, struct {
+					name string
+					opt  Options
+				}{
+					fmt.Sprintf("layout=%s batch=%d parallel=%s", layout, batch, mode),
+					opt,
+				})
 			}
 		}
 	}
@@ -195,7 +193,7 @@ func TestOracleDifferentialConverged(t *testing.T) {
 }
 
 // TestOracleDifferentialAdaptive checks Options.Adaptive across the
-// full layout × kernel × batch × parallel-mode matrix: every adaptive
+// full layout × batch × parallel-mode matrix: every adaptive
 // run's PerIteration stream must be a bit-identical prefix of the
 // fixed-run seed stream, and — because the per-iteration estimates are
 // bit-identical across combinations — every combination must stop at
@@ -338,7 +336,7 @@ func nonTreeDiffWorkloads() []diffWorkload {
 // non-tree templates: the direct combinatorial motif counter must agree
 // EXACTLY with exhaustive backtracking, and the tree-decomposition bag
 // DP's estimate must land within 6σ of that exact count — across every
-// layout × kernel × batch × parallel-mode combination, each of which
+// layout × batch × parallel-mode combination, each of which
 // must be bit-identical to the reference run (the bag DP ignores those
 // knobs, and this pins that ignoring them never perturbs an estimate).
 func TestOracleDifferentialNonTreeMatrix(t *testing.T) {
@@ -506,7 +504,7 @@ func directedDiffWorkloads() []directedWorkload {
 }
 
 // TestOracleDifferentialDirected is the directed matrix: CountDirected
-// must reproduce the golden bits under every layout × kernel × batch
+// must reproduce the golden bits under every layout × batch
 // width (1, 4, auto) × parallel mode at 2 threads, and with
 // ShareSubtemplates requested (directed engines run unshared); and under
 // fixed colorings the DP's raw colorful total must equal the directed
@@ -517,17 +515,15 @@ func TestOracleDifferentialDirected(t *testing.T) {
 		opt  Options
 	}
 	for _, layout := range []TableLayout{TableLazy, TableNaive, TableHash} {
-		for _, kernel := range []KernelChoice{KernelAuto, KernelDirect, KernelAggregate} {
-			for _, batch := range []int{1, 4, BatchAuto} {
-				for _, mode := range []ParallelMode{ParallelInner, ParallelOuter, ParallelHybrid} {
-					combos = append(combos, struct {
-						name string
-						opt  Options
-					}{
-						fmt.Sprintf("layout=%s kernel=%s batch=%d parallel=%s", layout, kernel, batch, mode),
-						DefaultOptions().WithTable(layout).WithKernel(kernel).WithBatch(batch).WithParallel(mode).WithThreads(2),
-					})
-				}
+		for _, batch := range []int{1, 4, BatchAuto} {
+			for _, mode := range []ParallelMode{ParallelInner, ParallelOuter, ParallelHybrid} {
+				combos = append(combos, struct {
+					name string
+					opt  Options
+				}{
+					fmt.Sprintf("layout=%s batch=%d parallel=%s", layout, batch, mode),
+					DefaultOptions().WithTable(layout).WithBatch(batch).WithParallel(mode).WithThreads(2),
+				})
 			}
 		}
 	}
@@ -580,5 +576,48 @@ func TestOracleDifferentialDirected(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// k200Golden holds the per-iteration estimate bits of the default
+// options on the complete graph K₂₀₀ (seed 11, 4 iterations, one
+// thread), recorded from the engine that still chose per vertex between
+// a per-neighbor and an aggregated contraction.
+var k200Golden = []struct {
+	name string
+	bits []uint64
+}{
+	{"U10-1", []uint64{0x449e4f7ccc9a3028, 0x44a1d0b3aa3a07e6, 0x449c8bf595b8b663, 0x44a1d2474f6070b3}},
+	{"U10-2", []uint64{0x440af1527cfad579, 0x440fabea122e46ef, 0x44095ff6bdf985ae, 0x440faeb7a98f013f}},
+	{"U12-1", []uint64{0x45932ef394a2c1fe, 0x4597c7167cfe1558, 0x45921b3f53a23ac2, 0x459444f745aedf7c}},
+	{"U12-2", []uint64{0x45832ef394a2c1fe, 0x4587c7167cfe1558, 0x45821b3f53a23ac2, 0x458444f745aedf7d}},
+}
+
+// TestK200GoldenBits pins estimates past 2^53, where float64 sums stop
+// being exact and two summation orders can round apart: on K₂₀₀ the
+// colorful counts of 10- and 12-vertex trees reach ~1e22 to ~1e27, and
+// the default options must reproduce the recorded bits exactly.
+func TestK200GoldenBits(t *testing.T) {
+	var edges [][2]int32
+	for i := int32(0); i < 200; i++ {
+		for j := i + 1; j < 200; j++ {
+			edges = append(edges, [2]int32{i, j})
+		}
+	}
+	g, err := NewGraph(200, edges, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range k200Golden {
+		res, err := Count(g, MustTemplate(want.name), DefaultOptions().WithSeed(11).WithIterations(len(want.bits)).WithThreads(1))
+		if err != nil {
+			t.Fatalf("%s: %v", want.name, err)
+		}
+		for i, x := range res.PerIteration {
+			if got := math.Float64bits(x); got != want.bits[i] {
+				t.Errorf("%s iteration %d: %v (%#016x), golden %v (%#016x)",
+					want.name, i, x, got, math.Float64frombits(want.bits[i]), want.bits[i])
+			}
+		}
 	}
 }

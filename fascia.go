@@ -27,7 +27,7 @@ type Template = tmpl.Template
 type Embedding = dp.Embedding
 
 // RunStats is the per-run observability snapshot: per-subtemplate-node
-// wall times, per-iteration timings, kernel decisions, and table row
+// wall times, per-iteration timings, kernel passes, and table row
 // traffic. See the dp package for field documentation.
 type RunStats = dp.RunStats
 
@@ -56,7 +56,7 @@ type Result struct {
 	// Parallel is the resolved parallelization mode.
 	Parallel ParallelMode
 	// Stats is the run's observability snapshot (node times, iteration
-	// times, kernel decisions, row traffic).
+	// times, kernel passes, row traffic).
 	Stats RunStats
 }
 

@@ -76,28 +76,21 @@ type batchState struct {
 type scratch struct {
 	buf      []float64 // output rows, nc*L
 	actRow   []float64 // materialized active lane row (hash layout)
-	pasRow   []float64 // materialized passive lane row (hash layout)
 	agg      []float64 // aggregated neighbor lane rows, ncP*L
-	colorAgg []float64 // per-(color, lane) neighbor sums, k*L
-	avB      []float64 // per-lane active root-cell values, L
-	// kernel-choice tallies in lane units, flushed on putScratch.
-	directN int64
-	aggN    int64
+	colorAgg []float64 // per-(color, lane) neighbor counts, k*L
+	// passes tallies vertex passes in lane units, flushed on putScratch.
+	passes int64
 }
 
 func (e *Engine) getScratch() *scratch {
 	return e.scratchPool.Get().(*scratch)
 }
 
-// putScratch returns scratch to the pool, flushing its kernel tallies.
+// putScratch returns scratch to the pool, flushing its pass tally.
 func (e *Engine) putScratch(sc *scratch) {
-	if sc.directN != 0 {
-		e.kernelDirect.Add(sc.directN)
-		sc.directN = 0
-	}
-	if sc.aggN != 0 {
-		e.kernelAggregate.Add(sc.aggN)
-		sc.aggN = 0
+	if sc.passes != 0 {
+		e.kernelPasses.Add(sc.passes)
+		sc.passes = 0
 	}
 	e.scratchPool.Put(sc)
 }
@@ -297,14 +290,6 @@ func (st *batchState) initLeaf(n *part.Node, tab *table.Multi) {
 	}
 }
 
-// nodeCtx binds a node's kernel shape to this batch's lane tables
-// (materialized Multi for internal children, implicit leafLanes for leaf
-// children).
-type nodeCtx struct {
-	kernelShape
-	act, pas laneTab
-}
-
 // laneTabFor resolves a node to its lane-table read surface.
 func (st *batchState) laneTabFor(n *part.Node) laneTab {
 	if tab, ok := st.tabs[n]; ok {
@@ -324,17 +309,7 @@ func (st *batchState) laneTabFor(n *part.Node) laneTab {
 // store mutex serializing the workers.
 func (st *batchState) computeNode(n *part.Node, tab *table.Multi) {
 	e := st.e
-	ctx := &nodeCtx{
-		kernelShape: e.kernelShapeFor(n, tab.NumSets()),
-		act:         st.laneTabFor(n.Active),
-		pas:         st.laneTabFor(n.Passive),
-	}
-	if st.remote != nil {
-		if own, ok := ctx.pas.(*table.Multi); ok {
-			st.remote.own = own
-			ctx.pas = st.remote
-		}
-	}
+	ctx := st.nodeCtxFor(n, tab.NumSets())
 	lo, hi := st.lo, st.hi
 
 	if st.workers <= 1 {

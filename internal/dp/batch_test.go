@@ -12,7 +12,7 @@ import (
 )
 
 // TestBatchEquivalence is the keystone property test of the batched
-// execution mode: for every table layout, kernel, and parallel mode, a
+// execution mode: for every table layout and parallel mode, a
 // batched run's PerIteration estimates must be BIT-IDENTICAL to the
 // unbatched run's — lane j of batch b colors with seed Seed + b·B + j,
 // exactly the unbatched schedule, and counts are integer-valued float64s
@@ -33,51 +33,48 @@ func TestBatchEquivalence(t *testing.T) {
 		for _, k := range []int{3, 5, 7} {
 			tpl := randomTree(rng, k)
 			for _, kind := range []table.Kind{table.Lazy, table.Naive, table.Hash} {
-				for _, kern := range []KernelMode{KernelDirect, KernelAggregate, KernelAuto} {
-					for _, mode := range []Mode{Inner, Outer, Hybrid} {
-						base := DefaultConfig()
-						base.TableKind = kind
-						base.Kernel = kern
-						base.Mode = mode
-						base.Workers = 3
-						base.Seed = 42
+				for _, mode := range []Mode{Inner, Outer, Hybrid} {
+					base := DefaultConfig()
+					base.TableKind = kind
+					base.Mode = mode
+					base.Workers = 3
+					base.Seed = 42
 
-						e1, err := New(g, tpl, base)
+					e1, err := New(g, tpl, base)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ref, err := e1.Run(iters)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := e1.Batch(); got != 1 {
+						t.Fatalf("default batch = %d, want 1", got)
+					}
+					for _, B := range []int{2, 4, 8} {
+						cfg := base
+						cfg.Batch = B
+						e2, err := New(g, tpl, cfg)
 						if err != nil {
 							t.Fatal(err)
 						}
-						ref, err := e1.Run(iters)
+						res, err := e2.Run(iters)
 						if err != nil {
 							t.Fatal(err)
 						}
-						if got := e1.Batch(); got != 1 {
-							t.Fatalf("default batch = %d, want 1", got)
+						if len(res.PerIteration) != iters {
+							t.Fatalf("%s k=%d %v/%v B=%d: %d iterations, want %d",
+								gs.name, k, kind, mode, B, len(res.PerIteration), iters)
 						}
-						for _, B := range []int{2, 4, 8} {
-							cfg := base
-							cfg.Batch = B
-							e2, err := New(g, tpl, cfg)
-							if err != nil {
-								t.Fatal(err)
+						for i := range res.PerIteration {
+							if res.PerIteration[i] != ref.PerIteration[i] {
+								t.Fatalf("%s k=%d %v/%v B=%d: iteration %d estimate %v != unbatched %v",
+									gs.name, k, kind, mode, B, i, res.PerIteration[i], ref.PerIteration[i])
 							}
-							res, err := e2.Run(iters)
-							if err != nil {
-								t.Fatal(err)
-							}
-							if len(res.PerIteration) != iters {
-								t.Fatalf("%s k=%d %v/%v/%v B=%d: %d iterations, want %d",
-									gs.name, k, kind, kern, mode, B, len(res.PerIteration), iters)
-							}
-							for i := range res.PerIteration {
-								if res.PerIteration[i] != ref.PerIteration[i] {
-									t.Fatalf("%s k=%d %v/%v/%v B=%d: iteration %d estimate %v != unbatched %v",
-										gs.name, k, kind, kern, mode, B, i, res.PerIteration[i], ref.PerIteration[i])
-								}
-							}
-							if res.Estimate != ref.Estimate {
-								t.Fatalf("%s k=%d %v/%v/%v B=%d: mean %v != %v",
-									gs.name, k, kind, kern, mode, B, res.Estimate, ref.Estimate)
-							}
+						}
+						if res.Estimate != ref.Estimate {
+							t.Fatalf("%s k=%d %v/%v B=%d: mean %v != %v",
+								gs.name, k, kind, mode, B, res.Estimate, ref.Estimate)
 						}
 					}
 				}

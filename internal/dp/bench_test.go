@@ -52,20 +52,15 @@ func BenchmarkLeafSpecialization(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelDirectVsAggregate is the acceptance benchmark: on a
-// high-degree graph (n=20k, avg deg 40) the aggregated kernel must beat
-// the direct per-neighbor split contraction by >= 2x on star templates
-// (2.5-3.5x measured), and auto must track the better of the two within
-// 10% on every case (it usually beats both by mixing per vertex).
-//
-// Template/strategy pairs cover all three aggregating branches:
-// stars under the default one-at-a-time partitioning yield
-// passive-single nodes (bulk per-color gather); balanced paths yield
+// BenchmarkKernel times one iteration of the combination kernels on a
+// high-degree graph (n=20k, avg deg 40), one case per kernel branch.
+// Stars under the default one-at-a-time partitioning yield
+// passive-single nodes (per-color neighbor counts); balanced paths yield
 // general two-sided nodes (SpMM-style row aggregation); path-7 under
-// one-at-a-time is active-single everywhere, where aggregation wins only
-// on the lower half of the template and auto must mix kernels. The naive
-// variants isolate kernel arithmetic from sparse-layout probe costs.
-func BenchmarkKernelDirectVsAggregate(b *testing.B) {
+// one-at-a-time is active-single everywhere; and the size-2 node sits at
+// the bottom of every tree. The naive variants isolate kernel arithmetic
+// from sparse-layout probe costs.
+func BenchmarkKernel(b *testing.B) {
 	rng := rand.New(rand.NewSource(42))
 	g := randomGraph(rng, 20000, 400000) // avg deg 40
 	cases := []struct {
@@ -82,22 +77,19 @@ func BenchmarkKernelDirectVsAggregate(b *testing.B) {
 		{"path7/one", tmpl.Path(7), part.OneAtATime, table.Lazy},
 	}
 	for _, tc := range cases {
-		for _, mode := range []KernelMode{KernelDirect, KernelAggregate, KernelAuto} {
-			cfg := DefaultConfig()
-			cfg.Strategy = tc.strat
-			cfg.TableKind = tc.kind
-			cfg.Kernel = mode
-			cfg.Workers = 1
-			e, err := New(g, tc.tr, cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Run(fmt.Sprintf("%s/%v", tc.name, mode), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					e.ColorfulTotal(int64(i))
-				}
-			})
+		cfg := DefaultConfig()
+		cfg.Strategy = tc.strat
+		cfg.TableKind = tc.kind
+		cfg.Workers = 1
+		e, err := New(g, tc.tr, cfg)
+		if err != nil {
+			b.Fatal(err)
 		}
+		b.Run(tc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				e.ColorfulTotal(int64(i))
+			}
+		})
 	}
 }
 

@@ -93,12 +93,6 @@ type Config struct {
 	// DisableLeafSpecial turns off the single-vertex-child fast paths
 	// (ablation switch; results must not change).
 	DisableLeafSpecial bool
-	// Kernel selects the internal-node combination kernel: KernelAuto
-	// (default) picks per vertex by a degree/width cost model,
-	// KernelDirect forces per-neighbor split contraction, and
-	// KernelAggregate forces the SpMM-style neighbor-aggregation kernel.
-	// Results are identical in all modes.
-	Kernel KernelMode
 	// Batch is the number of independent colorings ("lanes") each DP
 	// traversal of Run/RunContext carries: every traversal walks the
 	// adjacency and split tables once for all of its lanes, with table
@@ -204,6 +198,7 @@ type Engine struct {
 
 	splits  map[[2]int]*comb.SplitTable     // (size, activeSize) -> table
 	singles map[int][][]comb.SingletonEntry // size -> per-color entries
+	pairs   []int32                         // size-2 pair-set table (pairTable), nil when unused
 
 	// arena recycles table backing slabs and color vectors across
 	// iterations and batches (engine-lifetime free lists). It is also
@@ -220,11 +215,10 @@ type Engine struct {
 	// source costs about 5 KB, and Seed restarts a recycled one on
 	// exactly the stream rand.NewSource(seed) yields.
 	rngs sync.Pool
-	// kernelDirect / kernelAggregate count vertex passes executed by each
-	// kernel since engine creation, for diagnostics and the fasciabench
-	// kernel ablation.
-	kernelDirect    atomic.Int64
-	kernelAggregate atomic.Int64
+	// kernelPasses counts internal-node vertex passes, in lane units,
+	// since engine creation (RunStats.KernelAggregate reports a run's
+	// share).
+	kernelPasses atomic.Int64
 
 	// kept is the finished one-lane state of the last iteration when
 	// cfg.KeepTables is set: its tables and coloring outlive the run for
@@ -461,6 +455,9 @@ func newEngine(g, in *graph.Graph, t *tmpl.Template, cfg Config) (*Engine, error
 				e.singles[h] = comb.SingletonSplits(k, h)
 			}
 		}
+		if !cfg.DisableLeafSpecial && h == 2 && e.pairs == nil {
+			e.pairs = pairTable(k)
+		}
 	}
 	e.batch = e.resolveBatch()
 	e.scratchPool.New = func() any {
@@ -468,10 +465,8 @@ func newEngine(g, in *graph.Graph, t *tmpl.Template, cfg Config) (*Engine, error
 		return &scratch{
 			buf:      make([]float64, w),
 			actRow:   make([]float64, w),
-			pasRow:   make([]float64, w),
 			agg:      make([]float64, w),
 			colorAgg: make([]float64, e.k*e.batch),
-			avB:      make([]float64, e.batch),
 		}
 	}
 	return e, nil
@@ -582,12 +577,6 @@ func (e *Engine) slotArena(w int) *table.Arena {
 		e.slotArenas = append(e.slotArenas, a)
 	}
 	return e.slotArenas[w-1]
-}
-
-// KernelStats returns cumulative counts of internal-node vertex passes
-// executed by the direct and aggregated kernels since engine creation.
-func (e *Engine) KernelStats() (direct, aggregated int64) {
-	return e.kernelDirect.Load(), e.kernelAggregate.Load()
 }
 
 // ColorfulProbability returns k!/((k-t)!·k^t): the probability that a

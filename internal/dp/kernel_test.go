@@ -1,7 +1,6 @@
 package dp
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -11,18 +10,15 @@ import (
 )
 
 // TestKernelModeEquivalence is the kernel property test: under a fixed
-// coloring, ColorfulTotal must be bit-identical across KernelMode
-// direct/aggregate/auto × all three table layouts × leaf specializations
-// on/off, with inner parallelism enabled, over randomized graphs and
-// templates k=3..8. Counts are integer-valued, so every summation order
-// is exact and equality is exact, not approximate.
+// coloring, ColorfulTotal must be bit-identical across all three table
+// layouts × leaf specializations on/off, with inner parallelism enabled,
+// over randomized graphs and templates k=3..8, and equal to brute force
+// where enumeration is affordable. Counts are integer-valued, so every
+// summation order is exact and equality is exact, not approximate.
 func TestKernelModeEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260806))
-	modes := []KernelMode{KernelDirect, KernelAggregate, KernelAuto}
 	for trial := 0; trial < 3; trial++ {
-		// Mix degree regimes so KernelAuto exercises both kernels: trial 0
-		// is sparse (direct-leaning), later trials are denser than the
-		// aggregation thresholds (~k..2k for the pN==1 path).
+		// Mix degree regimes: trial 0 is sparse, later trials dense.
 		n := 20 + rng.Intn(25)
 		m := n * (2 + trial*8 + rng.Intn(4))
 		g := randomGraph(rng, n, m)
@@ -32,92 +28,36 @@ func TestKernelModeEquivalence(t *testing.T) {
 			want := 0.0
 			haveWant := false
 			for _, kind := range table.Kinds {
-				for _, mode := range modes {
-					for _, noSpecial := range []bool{false, true} {
-						cfg := DefaultConfig()
-						cfg.TableKind = kind
-						cfg.Kernel = mode
-						cfg.DisableLeafSpecial = noSpecial
-						cfg.Mode = Inner
-						cfg.Workers = 4
-						e, err := New(g, tr, cfg)
-						if err != nil {
-							t.Fatal(err)
-						}
-						got := e.ColorfulTotal(seed)
-						if !haveWant {
-							want, haveWant = got, true
-							// Pin the whole family to brute-force truth on
-							// instances where enumeration is affordable.
-							if k <= 4 {
-								ex := exact.CountColorfulMappings(g, tr, e.ColoringFor(seed))
-								if got != float64(ex) {
-									t.Fatalf("trial %d k=%d: DP %v, exact %d", trial, k, got, ex)
-								}
+				for _, noSpecial := range []bool{false, true} {
+					cfg := DefaultConfig()
+					cfg.TableKind = kind
+					cfg.DisableLeafSpecial = noSpecial
+					cfg.Mode = Inner
+					cfg.Workers = 4
+					e, err := New(g, tr, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got := e.ColorfulTotal(seed)
+					if !haveWant {
+						want, haveWant = got, true
+						// Pin the whole family to brute-force truth on
+						// instances where enumeration is affordable.
+						if k <= 4 {
+							ex := exact.CountColorfulMappings(g, tr, e.ColoringFor(seed))
+							if got != float64(ex) {
+								t.Fatalf("trial %d k=%d: DP %v, exact %d", trial, k, got, ex)
 							}
-							continue
 						}
-						if got != want {
-							t.Fatalf("trial %d k=%d %v/kernel=%v/nospecial=%v: total %v, want %v\ntemplate %v",
-								trial, k, kind, mode, noSpecial, got, want, tr)
-						}
+						continue
+					}
+					if got != want {
+						t.Fatalf("trial %d k=%d %v/nospecial=%v: total %v, want %v\ntemplate %v",
+							trial, k, kind, noSpecial, got, want, tr)
 					}
 				}
 			}
 		}
-	}
-}
-
-// TestKernelStatsAndCostModel checks that forced modes run only their
-// kernel and that the auto cost model aggregates on a high-degree graph.
-func TestKernelStatsAndCostModel(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	dense := randomGraph(rng, 300, 300*20) // avg deg ~40
-	// One-at-a-time partitioning of a star peels leaves, so the internal
-	// nodes have a single-vertex passive child — the branch whose
-	// aggregated (colorAgg) kernel the cost model picks at high degree.
-	tr := tmpl.Star(6)
-	run := func(mode KernelMode) (direct, agg int64) {
-		cfg := DefaultConfig()
-		cfg.Kernel = mode
-		cfg.Workers = 1
-		e, err := New(dense, tr, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.ColorfulTotal(1)
-		return e.KernelStats()
-	}
-	if d, a := run(KernelDirect); a != 0 || d == 0 {
-		t.Fatalf("KernelDirect ran %d direct / %d aggregated passes", d, a)
-	}
-	if d, a := run(KernelAggregate); d != 0 || a == 0 {
-		t.Fatalf("KernelAggregate ran %d direct / %d aggregated passes", d, a)
-	}
-	// Auto on a high-degree graph must choose aggregation for most
-	// passes of the pN==1 nodes (threshold k·E/(α·E-1) ≈ 4..7 << 40).
-	if _, a := run(KernelAuto); a == 0 {
-		t.Fatal("KernelAuto never aggregated on an avg-degree-40 graph")
-	}
-	// Auto on a near-empty graph must run (almost) all passes direct:
-	// thresholds bottom out around 4, so only the rare degree-4+ vertex
-	// of the avg-degree-1 graph may aggregate.
-	sparse := randomGraph(rng, 200, 100)
-	cfg := DefaultConfig()
-	e, err := New(sparse, tr, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.ColorfulTotal(1)
-	if d, a := e.KernelStats(); a > d/10 {
-		t.Fatalf("KernelAuto aggregated %d of %d passes on an avg-degree-1 graph", a, a+d)
-	}
-}
-
-func TestKernelModeString(t *testing.T) {
-	if KernelAuto.String() != "auto" || KernelDirect.String() != "direct" ||
-		KernelAggregate.String() != "aggregate" || KernelMode(9).String() == "" {
-		t.Fatal("kernel mode strings broken")
 	}
 }
 
@@ -179,26 +119,5 @@ func TestScratchPoolReuse(t *testing.T) {
 	}
 	if allocs > budget {
 		t.Fatalf("iteration allocated %v objects; scratch pooling regressed", allocs)
-	}
-}
-
-// TestKernelConfigPlumbing ensures the benchmark helper modes resolve.
-func TestKernelConfigPlumbing(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	g := randomGraph(rng, 30, 90)
-	for _, mode := range []KernelMode{KernelAuto, KernelDirect, KernelAggregate} {
-		cfg := DefaultConfig()
-		cfg.Kernel = mode
-		e, err := New(g, tmpl.Path(5), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := e.Run(2); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// String round-trip sanity for diagnostics output.
-	if s := fmt.Sprint(KernelAggregate); s != "aggregate" {
-		t.Fatalf("fmt.Sprint(KernelAggregate) = %q", s)
 	}
 }

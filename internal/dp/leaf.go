@@ -11,12 +11,17 @@ import (
 // materialize; non-root leaves do not — their cell values are a pure
 // function of the coloring.
 type laneTab interface {
+	passiveRows
 	Has(v int32) bool
-	LaneRow(v int32) []float64
 	Get(v, ci int32, lane int) float64
 	MaterializeRow(v int32, dst []float64) []float64
+}
+
+// passiveRows is all the lane kernels read of a passive child: the sum
+// of its neighbors' lane rows, one row of the adjacency × passive-table
+// product. A rank pass serves it from rankTab.
+type passiveRows interface {
 	AccumulateRows(vs []int32, dst []float64)
-	GatherColors(vs []int32, colors []int8, dst []float64)
 }
 
 var (
@@ -30,7 +35,7 @@ var (
 // initLeaf materializes for a root leaf. Deriving the cells from the
 // coloring on the fly removes the leaf tables entirely at every lane
 // count: no leaf allocation, no leaf-init sweep, and the hot
-// laneActives/gather reads touch the 1-byte-per-lane color vector
+// single-vertex-child kernels read the 1-byte-per-lane color vector
 // instead of 8-byte table cells.
 type leafLanes struct {
 	colors []int8
@@ -62,9 +67,6 @@ func (lf *leafLanes) ok(v int32) bool {
 // Has implements laneTab: a leaf "row" exists for every label-matching
 // vertex (its one nonzero cell per lane is the seeded count 1).
 func (lf *leafLanes) Has(v int32) bool { return lf.ok(v) }
-
-// LaneRow implements laneTab; there is no materialized row.
-func (lf *leafLanes) LaneRow(v int32) []float64 { return nil }
 
 // Get implements laneTab: 1 iff ci is lane's color of v (and the label
 // matches).
@@ -102,25 +104,6 @@ func (lf *leafLanes) AccumulateRows(vs []int32, dst []float64) {
 		base := int(u) * L
 		for j := 0; j < L; j++ {
 			dst[int(lf.colors[base+j])*L+j]++
-		}
-	}
-}
-
-// GatherColors implements laneTab: the gathered cell (u, colors[u·L+j])
-// is the leaf's own nonzero cell exactly when the requested color equals
-// u's color in that lane, so the fold is a per-(color, lane) neighbor
-// count.
-func (lf *leafLanes) GatherColors(vs []int32, colors []int8, dst []float64) {
-	L := lf.lanes
-	for _, u := range vs {
-		if !lf.ok(u) {
-			continue
-		}
-		base := int(u) * L
-		for j := 0; j < L; j++ {
-			if c := colors[base+j]; c == lf.colors[base+j] {
-				dst[int(c)*L+j]++
-			}
 		}
 	}
 }

@@ -10,8 +10,8 @@ import (
 // RankPass is one rank's share of one color-coding iteration of the
 // distributed runtime (internal/dist): a one-lane traversal of the
 // partition tree that computes every node's rows only for the rank's
-// owned vertex block [lo, hi), on the same batchState, lane kernels and
-// cost model as every other traversal.
+// owned vertex block [lo, hi), on the same batchState and lane kernels
+// as every other traversal.
 //
 // The rank derives the full coloring from the seed and holds the whole
 // graph and its labels, so leaf children stay implicit leafLanes over
@@ -118,7 +118,7 @@ type rankTab struct {
 	ghosts [][]float64
 }
 
-var _ laneTab = (*rankTab)(nil)
+var _ passiveRows = (*rankTab)(nil)
 
 // row returns v's row, nil when absent.
 func (t *rankTab) row(v int32) []float64 {
@@ -131,32 +131,7 @@ func (t *rankTab) row(v int32) []float64 {
 	return nil
 }
 
-// Has implements laneTab.
-func (t *rankTab) Has(v int32) bool { return t.row(v) != nil }
-
-// LaneRow implements laneTab.
-func (t *rankTab) LaneRow(v int32) []float64 { return t.row(v) }
-
-// Get implements laneTab; lane is always 0.
-func (t *rankTab) Get(v, ci int32, lane int) float64 {
-	if row := t.row(v); row != nil {
-		return row[ci]
-	}
-	return 0
-}
-
-// MaterializeRow implements laneTab: every row is flat, so only an
-// absent one is written to dst, as zeros.
-func (t *rankTab) MaterializeRow(v int32, dst []float64) []float64 {
-	if row := t.row(v); row != nil {
-		return row
-	}
-	dst = dst[:t.own.Width()]
-	clear(dst)
-	return dst
-}
-
-// AccumulateRows implements laneTab: the rows of every vertex in vs,
+// AccumulateRows implements passiveRows: the rows of every vertex in vs,
 // owned or ghost, are added into dst with the 8-wide table.AddTo.
 //
 //fascia:hotpath
@@ -164,19 +139,6 @@ func (t *rankTab) AccumulateRows(vs []int32, dst []float64) {
 	for _, u := range vs {
 		if row := t.row(u); row != nil {
 			table.AddTo(dst, row)
-		}
-	}
-}
-
-// GatherColors implements laneTab, folding each vertex's cell at its own
-// color as table.Multi.GatherColors does at one lane.
-//
-//fascia:hotpath
-func (t *rankTab) GatherColors(vs []int32, colors []int8, dst []float64) {
-	for _, u := range vs {
-		if row := t.row(u); row != nil {
-			c := colors[u]
-			dst[c] += row[c]
 		}
 	}
 }

@@ -30,7 +30,7 @@ type Result struct {
 	// ModeUsed records the resolved parallelization mode.
 	ModeUsed Mode
 	// Stats is the observability snapshot of the run (per-node times,
-	// kernel decisions, table row traffic, per-iteration timings).
+	// kernel passes, table row traffic, per-iteration timings).
 	Stats RunStats
 }
 
@@ -64,13 +64,12 @@ func (e *Engine) RunContext(ctx context.Context, iters int) (Result, error) {
 // runMeter snapshots the engine's cumulative counters when a run
 // starts, so finish can report the run's own deltas.
 type runMeter struct {
-	start          time.Time
-	kd, ka, ah, am int64
+	start      time.Time
+	kp, ah, am int64
 }
 
 func (e *Engine) startMeter() runMeter {
-	m := runMeter{start: time.Now()}
-	m.kd, m.ka = e.KernelStats()
+	m := runMeter{start: time.Now(), kp: e.kernelPasses.Load()}
 	m.ah, m.am = e.ArenaStats()
 	return m
 }
@@ -82,8 +81,7 @@ func (e *Engine) startMeter() runMeter {
 func (e *Engine) finish(ctx context.Context, m runMeter, res *Result, stats RunStats, prior []float64) error {
 	res.Estimate, res.StdErr = summarize(prior, res.PerIteration)
 	stats.Iterations = len(res.PerIteration)
-	kd, ka := e.KernelStats()
-	stats.KernelDirect, stats.KernelAggregate = kd-m.kd, ka-m.ka
+	stats.KernelAggregate = e.kernelPasses.Load() - m.kp
 	ah, am := e.ArenaStats()
 	stats.ArenaHits, stats.ArenaMisses = ah-m.ah, am-m.am
 	res.PeakTableBytes = stats.PeakTableBytes

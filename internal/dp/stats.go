@@ -27,8 +27,8 @@ type NodeStat struct {
 }
 
 // RunStats is the per-run observability snapshot populated by RunContext
-// and friends: where the time went (per node, per iteration), which
-// kernels the cost model chose, and how much table storage moved.
+// and friends: where the time went (per node, per iteration), how many
+// vertex passes the kernels ran, and how much table storage moved.
 type RunStats struct {
 	// Layout names the table layout used ("lazy", "naive" or "hash").
 	Layout string
@@ -41,13 +41,18 @@ type RunStats struct {
 	// Nodes holds per-partition-tree-node accumulated compute times in
 	// evaluation order.
 	Nodes []NodeStat
-	// KernelDirect and KernelAggregate count internal-node vertex passes
-	// executed by each DP kernel during this run (the cost-model
-	// decisions; forced modes land everything on one counter), in lane
-	// units: a pass over one vertex for L lanes counts L, so the figures
-	// read the same at every batch width.
-	KernelDirect    int64
+	// KernelAggregate counts the internal-node vertex passes of this run,
+	// every one of them aggregate-first, in lane units: a pass over one
+	// vertex for L lanes counts L. A pass runs when any lane holds counts
+	// at the vertex, so the figure reads the same at every batch width
+	// where every vertex holds counts in all lanes or in none, and higher
+	// at wider batches elsewhere.
 	KernelAggregate int64
+	// KernelDirect is always 0.
+	//
+	// Deprecated: the per-neighbor direct kernels were removed; the field
+	// remains so existing readers keep compiling.
+	KernelDirect int64
 	// RowsAllocated and RowsReleased count materialized table rows over
 	// the whole run (dense layouts materialize every vertex; sparse and
 	// hash layouts only touched vertices). With the eager-release

@@ -64,45 +64,6 @@ func (p Params) AblationTable(ctx context.Context) (Table, error) {
 	return t, nil
 }
 
-// AblationKernel compares the direct per-neighbor split contraction, the
-// SpMM-style neighbor-aggregation kernel, and the auto cost model on a
-// degree-skewed network. Estimates must be identical across kernels; the
-// vertex-pass split shows what the cost model chose.
-func (p Params) AblationKernel(ctx context.Context) (Table, error) {
-	g := p.network("enron")
-	tpl := tmpl.MustNamed(fmt.Sprintf("U%d-1", p.MaxK))
-	t := Table{
-		Title:   fmt.Sprintf("Ablation: DP kernel, %s, enron-like", tpl.Name()),
-		Columns: []string{"kernel", "time_ms", "direct_passes", "agg_passes", "estimate"},
-	}
-	var directTime time.Duration
-	for _, mode := range []dp.KernelMode{dp.KernelDirect, dp.KernelAggregate, dp.KernelAuto} {
-		cfg := p.baseConfig()
-		cfg.Kernel = mode
-		e, err := dp.New(g, tpl, cfg)
-		if err != nil {
-			return t, err
-		}
-		start := time.Now()
-		res, err := e.RunContext(ctx, 1)
-		if err != nil {
-			return t, err
-		}
-		d := time.Since(start)
-		if mode == dp.KernelDirect {
-			directTime = d
-		}
-		nd, na := e.KernelStats()
-		t.Rows = append(t.Rows, []string{
-			mode.String(), ms(d), fmt.Sprint(nd), fmt.Sprint(na), sci(res.Estimate),
-		})
-	}
-	t.Notes = append(t.Notes,
-		"estimates must be bit-identical; aggregation wins on high-degree vertices",
-		fmt.Sprintf("direct kernel baseline: %s ms", ms(directTime)))
-	return t, nil
-}
-
 // AblationBatch sweeps the iteration-batch width B on an Erdős–Rényi and
 // a Barabási–Albert graph: B colorings ("lanes") share one DP traversal
 // per batch, so per-iteration time should fall with B until lane-widened

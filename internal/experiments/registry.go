@@ -34,7 +34,6 @@ var Registry = map[string]Runner{
 	"ablation-partition": Params.AblationPartition,
 	"ablation-table":     Params.AblationTable,
 	"ablation-leaf":      Params.AblationLeafSpecial,
-	"ablation-kernel":    Params.AblationKernel,
 	"ablation-batch":     Params.AblationBatch,
 	"distributed":        Params.Distributed,
 	"profile":            Params.Profile,
@@ -44,7 +43,7 @@ var Registry = map[string]Runner{
 var Order = []string{
 	"table1", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
 	"fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "moda",
-	"ablation-partition", "ablation-table", "ablation-leaf", "ablation-kernel",
+	"ablation-partition", "ablation-table", "ablation-leaf",
 	"ablation-batch",
 	"distributed", "profile",
 }

@@ -91,8 +91,8 @@ func TestArenaCap(t *testing.T) {
 }
 
 // TestMultiLaneSemantics checks the lane-strided Multi table: cells land
-// at ci·L + lane, per-lane totals separate, GatherColors folds the
-// per-vertex colored cells, and rows materialize on the hash layout.
+// at ci·L + lane, per-lane totals separate, neighbor rows accumulate
+// lane by lane, and rows materialize on the hash layout.
 func TestMultiLaneSemantics(t *testing.T) {
 	for _, kind := range []Kind{Naive, Lazy, Hash} {
 		const n, numSets, L = 10, 4, 3
@@ -128,18 +128,6 @@ func TestMultiLaneSemantics(t *testing.T) {
 		m.AccumulateRows([]int32{2, 3, 4}, acc)
 		if acc[1*L+0] != 5 || acc[0*L+1] != 11 || acc[1*L+2] != 7 {
 			t.Fatalf("%v: accumulate %v", kind, acc)
-		}
-		// GatherColors: lane-strided per-vertex colors; vertex 2 has
-		// color 1 in every lane, vertex 3 color 0.
-		colors := make([]int8, n*L)
-		for j := 0; j < L; j++ {
-			colors[2*L+j] = 1
-			colors[3*L+j] = 0
-		}
-		gather := make([]float64, numSets*L)
-		m.GatherColors([]int32{2, 3}, colors, gather)
-		if gather[1*L+0] != 5 || gather[1*L+2] != 7 || gather[0*L+1] != 11 {
-			t.Fatalf("%v: gather %v", kind, gather)
 		}
 		m.Release()
 	}

@@ -86,29 +86,6 @@ func (m *Multi) AccumulateRows(vs []int32, dst []float64) {
 	m.tab.AccumulateRows(vs, dst)
 }
 
-// GatherColors folds, for each vertex u in vs and each lane j, the cell
-// (u, colors[u·L+j], j) into dst[colors[u·L+j]·L+j]; colors is the
-// lane-strided per-vertex coloring and dst has length k·L. It is the
-// lane-widened single-vertex-child per-color gather.
-func (m *Multi) GatherColors(vs []int32, colors []int8, dst []float64) {
-	L := m.lanes
-	for _, u := range vs {
-		if row := m.tab.Row(u); row != nil {
-			base := int(u) * L
-			for j := 0; j < L; j++ {
-				o := int(colors[base+j])*L + j
-				dst[o] += row[o]
-			}
-		} else if m.tab.Has(u) { // hash layout: probe per lane
-			base := int(u) * L
-			for j := 0; j < L; j++ {
-				ci := int32(colors[base+j])
-				dst[int(ci)*L+j] += m.Get(u, ci, j)
-			}
-		}
-	}
-}
-
 // SumRow returns the sum of v's flat row over every lane and color set
 // (zero when absent) — at one lane, v's row sum.
 func (m *Multi) SumRow(v int32) float64 { return m.tab.SumRow(v) }

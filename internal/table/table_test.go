@@ -124,7 +124,6 @@ func TestAccumulateRow(t *testing.T) {
 }
 
 func TestBulkAccumulateAndGather(t *testing.T) {
-	colors := []int8{2, 0, 1, 3, 2, 1, 0, 3, 1, 2}
 	for _, kind := range Kinds {
 		tab := New(kind, 10, 4, nil)
 		tab.StoreRow(1, []float64{1, 2, 0, 4})
@@ -140,23 +139,6 @@ func TestBulkAccumulateAndGather(t *testing.T) {
 		for i := range want {
 			if dst[i] != want[i] {
 				t.Fatalf("%v: AccumulateRows dst[%d] = %v, want %v", kind, i, dst[i], want[i])
-			}
-		}
-
-		// GatherColors folds cell (v, colors[v]) into dst[colors[v]] — at
-		// one lane the lane-strided table is the plain layout: v=1 (color
-		// 0, val 1), v=3 (color 3, val 1), v=7 (color 3, val 9), v=5
-		// absent.
-		m := NewMulti(kind, 10, 4, 1, nil)
-		m.StoreRow(1, []float64{1, 2, 0, 4})
-		m.StoreRow(3, []float64{0, 0, 5, 1})
-		m.Set(7, 3, 0, 9)
-		bins := make([]float64, 4)
-		m.GatherColors([]int32{1, 3, 7, 5}, colors, bins)
-		wantBins := []float64{1, 0, 0, 10}
-		for i := range wantBins {
-			if bins[i] != wantBins[i] {
-				t.Fatalf("%v: GatherColors bins[%d] = %v, want %v", kind, i, bins[i], wantBins[i])
 			}
 		}
 	}

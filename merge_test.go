@@ -68,7 +68,6 @@ func TestOptionsFingerprint(t *testing.T) {
 	// Execution / lifecycle knobs leave the fingerprint unchanged.
 	same := []Options{
 		base.WithTable(TableHash),
-		base.WithKernel(KernelAggregate),
 		base.WithBatch(8),
 		base.WithParallel(ParallelOuter),
 		base.WithThreads(4),

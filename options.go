@@ -82,50 +82,6 @@ func (s PartitionStrategy) strategy() (part.Strategy, error) {
 	}
 }
 
-// KernelChoice selects the internal-node DP combination kernel. The
-// direct kernel re-runs the (Ca, Cp) split contraction for every
-// neighbor; the aggregated kernel first sums neighbor passive rows into a
-// dense scratch buffer (an SpMM-style neighbor aggregation) and contracts
-// once per vertex, which wins on high-degree vertices. Results are
-// identical in every mode; only speed differs.
-type KernelChoice int
-
-const (
-	// KernelAuto picks direct or aggregated per vertex with a
-	// degree/width cost model. The default.
-	KernelAuto KernelChoice = iota
-	// KernelDirect always contracts per neighbor.
-	KernelDirect
-	// KernelAggregate always aggregates neighbor rows first.
-	KernelAggregate
-)
-
-func (c KernelChoice) String() string {
-	switch c {
-	case KernelAuto:
-		return "auto"
-	case KernelDirect:
-		return "direct"
-	case KernelAggregate:
-		return "aggregate"
-	default:
-		return fmt.Sprintf("KernelChoice(%d)", int(c))
-	}
-}
-
-func (c KernelChoice) kernel() (dp.KernelMode, error) {
-	switch c {
-	case KernelAuto:
-		return dp.KernelAuto, nil
-	case KernelDirect:
-		return dp.KernelDirect, nil
-	case KernelAggregate:
-		return dp.KernelAggregate, nil
-	default:
-		return 0, fmt.Errorf("fascia: unknown kernel choice %d", int(c))
-	}
-}
-
 // ParallelMode selects between the paper's two multithreading schemes
 // (§III-E).
 type ParallelMode int
@@ -207,9 +163,6 @@ type Options struct {
 	// DisableLeafSpecial turns off the single-vertex-child fast paths
 	// (for ablations; results are unchanged).
 	DisableLeafSpecial bool
-	// Kernel selects the internal-node DP kernel (auto, direct, or
-	// aggregate); see KernelChoice. Results are unchanged, only speed.
-	Kernel KernelChoice
 	// KeepTables retains the final iteration's tables for
 	// SampleEmbeddings.
 	KeepTables bool
@@ -301,12 +254,6 @@ func (o Options) WithParallel(m ParallelMode) Options {
 	return o
 }
 
-// WithKernel returns a copy of o using the given DP kernel choice.
-func (o Options) WithKernel(c KernelChoice) Options {
-	o.Kernel = c
-	return o
-}
-
 // BatchAuto asks the engine to choose the iteration-batch width from
 // the table widths and a memory budget (see Options.Batch).
 const BatchAuto = dp.BatchAuto
@@ -359,8 +306,8 @@ func (o Options) WithOnIteration(fn func(i int, estimate float64, elapsed time.D
 // DP root), and Adaptive (changes how many estimates the stream holds,
 // so a cached adaptive entry records the iterations actually run
 // rather than masquerading as a fixed-length stream). Execution knobs
-// that are property-tested bit-identical — Table, Kernel, Batch,
-// Parallel, Threads, DisableLeafSpecial, MemBudgetBytes —
+// that are property-tested bit-identical — Table, Batch, Parallel,
+// Threads, DisableLeafSpecial, MemBudgetBytes —
 // and lifecycle knobs (Iterations, Seed, Timeout, KeepTables,
 // OnIteration, Epsilon/Delta) are deliberately excluded so they do not
 // fragment a cache. The leading version tag must be bumped if estimate
@@ -387,7 +334,7 @@ var (
 	// settings by the kernel-equivalence and oracle-differential property
 	// tests; excluding them keeps equivalent queries on one cache entry.
 	fingerprintExecutionOnly = []string{
-		"Table", "Kernel", "Batch", "Parallel", "Threads", "DisableLeafSpecial", "MemBudgetBytes",
+		"Table", "Batch", "Parallel", "Threads", "DisableLeafSpecial", "MemBudgetBytes",
 	}
 	// fingerprintLifecycle shape how many iterations run, which seed
 	// starts the stream, or what happens around the run — the cache keys
@@ -423,10 +370,6 @@ func (o Options) config() (dp.Config, error) {
 	if err != nil {
 		return dp.Config{}, err
 	}
-	kern, err := o.Kernel.kernel()
-	if err != nil {
-		return dp.Config{}, err
-	}
 	root := o.RootVertex
 	if root < 0 {
 		root = -1
@@ -441,7 +384,6 @@ func (o Options) config() (dp.Config, error) {
 		Seed:               o.Seed,
 		RootVertex:         root,
 		DisableLeafSpecial: o.DisableLeafSpecial,
-		Kernel:             kern,
 		KeepTables:         o.KeepTables,
 		Batch:              o.Batch,
 		MemBudgetBytes:     o.MemBudgetBytes,
